@@ -55,6 +55,7 @@ from .reduction import (
     reduce_star,
     star_elements,
     transfer_ops,
+    transfer_series,
 )
 from .scalar import (
     GaussianRational,
@@ -68,6 +69,10 @@ from .scalar import (
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 MODES = ("flat", "radial-linear", "radial-quadratic")
+# deepest parenthesis nesting an expression may use; each level costs the
+# parser a handful of stack frames, so this keeps it far from the
+# interpreter's recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -105,6 +110,7 @@ class _Parser:
     def __init__(self, text, mode, dim):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
         self.flat = mode == "flat"
         self.dim = dim
 
@@ -149,11 +155,12 @@ class _Parser:
                 return value
 
     def parse_unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
+            negate = not negate
+        value = self.parse_power()
+        return -value if negate else value
 
     def parse_power(self):
         base = self.parse_atom()
@@ -178,7 +185,12 @@ class _Parser:
         if kind == "int":
             return self.constant(int(text))
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING,
+                                 pos)
+            self.depth += 1
             value = self.parse_sum()
+            self.depth -= 1
             kind, text, pos = self.advance()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
@@ -620,10 +632,9 @@ def _suite_lemma1(rng, examples):
     ok = True
     for setup in _all_setups():
         gen = _rand_flat if setup.label.startswith("flat") else _rand_even
-        t = transfer_ops(setup, 3)
         for _ in range(examples):
             f = gen(rng)
-            got = t.apply(star_elements(setup, f, setup.j, 3))
+            got = transfer_series(setup, star_elements(setup, f, setup.j, 3))
             want = LambdaSeries((f * setup.j,) + (setup.zero,) * 3)
             ok = ok and got == want
     return ok
@@ -739,13 +750,20 @@ def cmd_verify(ns):
 # argument parsing
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid fraction %r" % text) from None
+
+
 def _add_product_args(sub, default_order):
     sub.add_argument("--mode", choices=MODES, default="radial-quadratic")
     sub.add_argument("--dim", type=int, default=2,
                      help="coordinate pairs (flat) or complex coordinates (radial)")
     sub.add_argument("--order", type=int, default=default_order,
                      help="truncation order of the deformation series")
-    sub.add_argument("--mu", type=Fraction, default=Fraction(-1, 2),
+    sub.add_argument("--mu", type=_fraction, default=Fraction(-1, 2),
                      help="constraint level, a negative fraction (radial modes)")
     sub.add_argument("--json", action="store_true", help="emit a JSON payload")
     sub.add_argument("f", help="left factor expression")
@@ -771,7 +789,7 @@ def build_parser():
     coeffs.add_argument("--kind", choices=("linear", "quadratic"), default="linear")
     coeffs.add_argument("--kmax", type=int, default=4)
     coeffs.add_argument("--lmax", type=int, default=4)
-    coeffs.add_argument("--mu", type=Fraction, default=Fraction(-1, 2))
+    coeffs.add_argument("--mu", type=_fraction, default=Fraction(-1, 2))
     fmt = coeffs.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true")
@@ -781,7 +799,7 @@ def build_parser():
         "obstruct", help="order-2 difference of the two reduced products"
     )
     obstruct.add_argument("--dim", type=int, default=2)
-    obstruct.add_argument("--mu", type=Fraction, default=Fraction(-1, 2))
+    obstruct.add_argument("--mu", type=_fraction, default=Fraction(-1, 2))
     obstruct.add_argument("--json", action="store_true")
     obstruct.add_argument("f")
     obstruct.add_argument("g")

@@ -10,9 +10,12 @@ The central object is the transfer operator series T, defined by
     T_0 = id,   T_n(f) = - sum_{k=1..n} T_{n-k}( M_k(pi_J(f), J) ).
 
 T fixes prolonged functions and the constraint, and straightens the left
-star ideal: T(f * J) = f J order by order.  Its inverse U (as a formal
-operator series) turns classical multiples of J back into star multiples.
-The reduced product of two functions on C is then
+star ideal: T(f * J) = f J order by order.  The recursion makes T the
+inverse of 1 + D with (D a)_m = sum_{k>=1} M_k(pi_J(a_{m-k}), J), so
+transfer_series solves h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J)
+forward for h = T(a): n pi_J and n(n+1)/2 kernel calls at order n, where
+the unfolded recursion makes a number exponential in n.  The reduced
+product of two functions on C is then
 
     f x g = S^{-1}( prol( T( S(f) * S(g) ) ) )
 
@@ -169,24 +172,23 @@ def operator_series_invert(series):
     return OperatorSeries(tuple(inv))
 
 
+def transfer_series(setup, series):
+    """The transfer image h = T(series), by forward substitution."""
+    h, quotients = [], []
+    for m, acc in enumerate(series.coeffs):
+        for k in range(1, m + 1):
+            acc = acc - setup.kernel(quotients[m - k], setup.j, k)
+        h.append(acc)
+        if m < series.order:
+            quotients.append(setup.pij(acc))
+    return LambdaSeries(tuple(h))
+
+
 def transfer_ops(setup, order):
-    """The transfer operator series T for a setup, up to the given order."""
-    ops = [identity]
-
-    def make(n):
-        def t_n(f):
-            g = setup.pij(f)
-            acc = setup.zero
-            for k in range(1, n + 1):
-                mk = setup.kernel(g, setup.j, k)
-                acc = acc + ops[n - k](mk)
-            return -acc
-
-        return t_n
-
-    for n in range(1, order + 1):
-        ops.append(make(n))
-    return OperatorSeries(tuple(ops))
+    """T as an operator series: T_n(f) is component n of T(f, 0, ..., 0)."""
+    return OperatorSeries((identity,) + tuple(
+        (lambda f, n=n: transfer_series(setup, setup.as_series(f, n))[n])
+        for n in range(1, order + 1)))
 
 
 def star_series(setup, fs, gs):
@@ -213,8 +215,7 @@ def decompose_deformed(setup, series):
     reconstruction series == U(p) + star(w, J) is exact at the truncation
     order, and series lies in the left star ideal iff p vanishes.
     """
-    t = transfer_ops(setup, series.order)
-    h = t.apply(series)
+    h = transfer_series(setup, series)
     return h.map(setup.prol), h.map(setup.pij)
 
 
@@ -224,8 +225,7 @@ def in_istar(setup, series):
     A series is of the form g * J iff its transfer image vanishes on C
     order by order.
     """
-    t = transfer_ops(setup, series.order)
-    return all(setup.vanishes_on_c(c) for c in t.apply(series).coeffs)
+    return all(setup.vanishes_on_c(c) for c in transfer_series(setup, series).coeffs)
 
 
 def in_bstar(setup, series):
@@ -279,9 +279,7 @@ def reduce_star_series(setup, fs, gs, intertwiner=None):
     """
     s = intertwiner or Intertwiner.identity_map()
     ambient = star_series(setup, s.apply(fs), s.apply(gs))
-    t = transfer_ops(setup, ambient.order)
-    h = t.apply(ambient).map(setup.prol)
-    return s.apply_inverse(h)
+    return s.apply_inverse(transfer_series(setup, ambient).map(setup.prol))
 
 
 def reduce_star(setup, f, g, order, intertwiner=None):

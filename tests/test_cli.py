@@ -240,3 +240,29 @@ def test_usage_and_parse_errors_exit_2(capsys):
 
 def test_help_exits_zero(capsys):
     assert _run(capsys, ["--help"])[0] == 0
+
+
+@pytest.mark.parametrize("cmd", [
+    ["reduce", "z1*zb2/u", "z2*zb1/u"],
+    ["coeffs"],
+    ["obstruct", "z1*zb2/u", "z2*zb1/u"],
+])
+@pytest.mark.parametrize("mu", ["1/0", "half"])
+def test_bad_mu_is_a_usage_error(capsys, cmd, mu):
+    code, out, err = _run(capsys, cmd[:1] + ["--mu=" + mu] + cmd[1:])
+    assert code == 2 and out == ""
+    assert "--mu" in err and "Traceback" not in err
+
+
+def test_nesting_limit_exits_2(capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    code, out, err = _run(capsys, ["star", "--mode", "flat", "--dim", "2",
+                                   "--order", "1", deep, "p1"])
+    assert code == 2 and out == ""
+    assert "position %d" % cli.MAX_NESTING in err and "Traceback" not in err
+    at_limit = "(" * cli.MAX_NESTING + "q1" + ")" * cli.MAX_NESTING
+    assert parse_expression(at_limit, "flat", 2) == FlatPoly.q(1, 2)
+    # a run of unary minus signs nests no parser frames
+    code, out, _ = _run(capsys, ["star", "--mode", "flat", "--dim", "2",
+                                 "--order", "1", "--", "-" * 3001 + "q1", "p1"])
+    assert code == 0 and out.startswith("order 0: -q1*p1\n")

@@ -1,3 +1,5 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from costar.reduction import (
     star_elements,
     star_series,
     transfer_ops,
+    transfer_series,
     verify_intertwiner,
 )
 from costar.scalar import GaussianRational, I, LambdaSeries
@@ -287,3 +290,76 @@ def test_verify_nontrivial_intertwiner():
     assert verify_intertwiner(setup, s, HOMOG[1], HOMOG[3], 2)
     with pytest.raises(ValueError, match="identity"):
         Intertwiner.closed_form(OperatorSeries((lambda f: f, identity)))
+
+
+def paper_transfer(setup, n, f):
+    # the defining recursion T_n f = -sum_k T_{n-k}(M_k(pi_J f, J)), unfolded
+    if n == 0:
+        return f
+    g = setup.pij(f)
+    acc = setup.zero
+    for k in range(1, n + 1):
+        acc = acc + paper_transfer(setup, n - k, setup.kernel(g, setup.j, k))
+    return -acc
+
+
+def sample_series(setup, order):
+    if setup.label.startswith("flat"):
+        q1, q2, p1, p2 = (FlatPoly.q(1, 2), FlatPoly.q(2, 2),
+                          FlatPoly.p(1, 2), FlatPoly.p(2, 2))
+        elems = [q1 * p2 * p2 + q2, q2 * q2 * p1 - p2.scale(I), q1 * p2 + setup.one,
+                 q2 ** 3 * p2, p1 * p2 - q2.scale(HALF)]
+    else:
+        u, inv_u = RadialFun.u(2), RadialRational.u_power(-1)
+        elems = [HOMOG[1] + u, HOMOG[4] * u * u - HOMOG[2], u * u + setup.one,
+                 RadialFun.monomial((1, 0), (1, 0), radial=inv_u) * u ** 3,
+                 HOMOG[3].scale(I) + u]
+    return LambdaSeries(tuple(elems[: order + 1]))
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_series_matches_paper_recursion(setup):
+    a = sample_series(setup, 4)
+    t = transfer_ops(setup, 4)
+    for n in range(5):
+        f = a[n]
+        want = paper_transfer(setup, n, f)
+        assert t.ops[n](f) == want
+        assert transfer_series(setup, setup.as_series(f, 4))[n] == want
+    want = LambdaSeries(tuple(
+        sum((paper_transfer(setup, n, a[m - n]) for n in range(1, m + 1)), a[m])
+        for m in range(5)))
+    assert transfer_series(setup, a) == want
+    assert t.apply(a) == want
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_inverse_is_one_plus_d(setup):
+    # U = T^{-1} = 1 + D with D_k f = M_k(pi_J f, J)
+    u = operator_series_invert(transfer_ops(setup, 4))
+    for f in sample_series(setup, 4).coeffs:
+        for k in range(1, 5):
+            assert u.ops[k](f) == setup.kernel(setup.pij(f), setup.j, k)
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_series_call_counts(setup):
+    calls = Counter()
+
+    def kernel(f, g, r):
+        calls["kernel"] += 1
+        return setup.kernel(f, g, r)
+
+    def pij(f):
+        calls["pij"] += 1
+        return setup.pij(f)
+
+    counted = dataclasses.replace(setup, kernel=kernel, pij=pij)
+    a = sample_series(setup, 4)
+    for n in range(5):
+        calls.clear()
+        transfer_series(counted, a.truncated(n))
+        assert calls == Counter(pij=n, kernel=n * (n + 1) // 2)
+        calls.clear()
+        transfer_ops(counted, n).ops[n](a[0])
+        assert calls == Counter(pij=n, kernel=n * (n + 1) // 2)
