@@ -1,0 +1,104 @@
+"""Time the exact scalar layer on fixed, seeded inputs.
+
+Measures GaussianRational add/mul/div and UPoly mul/divmod/gcd, the
+operations every higher layer of the engine reduces to, and prints one
+JSON line: for each operation the best per-call time in nanoseconds over
+--repeat timed passes.  Only the standard library is used, and the engine
+is imported from this checkout's src/.
+
+    python3 scripts/bench_scalar.py [--seed N] [--repeat R]
+"""
+
+import argparse
+import json
+import platform
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from costar.scalar import GaussianRational, UPoly  # noqa: E402
+
+SCALARS = 400     # scalar operands; ops run on consecutive pairs
+POLYS = 40        # polynomial operands
+DEGREE = 6        # degree of each polynomial operand
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-2 ** 20, 2 ** 20), rng.randint(1, 2 ** 10))
+
+
+def _scalar(rng):
+    # half of the values are real, as most coefficients in the engine are
+    im = _fraction(rng) if rng.random() < 0.5 else 0
+    return GaussianRational(_fraction(rng), im)
+
+
+def _rational_poly(rng, degree):
+    return UPoly([_fraction(rng) for _ in range(degree)] + [1])
+
+
+def inputs(seed):
+    rng = Random(seed)
+    scalars = [_scalar(rng) for _ in range(SCALARS)]
+    nonzero = [c for c in scalars if c]
+    polys = [UPoly([_scalar(rng) for _ in range(DEGREE + 1)]) for _ in range(POLYS)]
+    # rational polynomials sharing a quadratic factor, as in the
+    # denominators RadialRational reduces: the integer gcd path
+    common = [_rational_poly(rng, 2) for _ in range(POLYS)]
+    gcd_pairs = [(c * _rational_poly(rng, DEGREE - 2), c * _rational_poly(rng, DEGREE - 2))
+                 for c in common]
+    return scalars, nonzero, polys, gcd_pairs
+
+
+def _pairs(xs):
+    return list(zip(xs, xs[1:]))
+
+
+def cases(seed):
+    scalars, nonzero, polys, gcd_pairs = inputs(seed)
+    divisors = [UPoly(p.coeffs[: DEGREE // 2 + 1]) for p in polys]
+    return {
+        "gaussian_add": (lambda a, b: a + b, _pairs(scalars)),
+        "gaussian_mul": (lambda a, b: a * b, _pairs(scalars)),
+        "gaussian_div": (lambda a, b: a / b, _pairs(nonzero)),
+        "upoly_mul": (lambda a, b: a * b, _pairs(polys)),
+        "upoly_divmod": (lambda a, b: a.divmod(b), list(zip(polys, divisors))),
+        "upoly_gcd": (lambda a, b: a.gcd(b), gcd_pairs),
+    }
+
+
+def best_ns(op, pairs, repeat):
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter_ns()
+        for a, b in pairs:
+            op(a, b)
+        elapsed = time.perf_counter_ns() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best / len(pairs)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--repeat", type=int, default=20,
+                    help="timed passes per operation; the best one is reported")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    ns = {name: round(best_ns(op, pairs, args.repeat), 1)
+          for name, (op, pairs) in cases(args.seed).items()}
+    print(json.dumps({
+        "python": platform.python_version(),
+        "seed": args.seed,
+        "repeat": args.repeat,
+        "ns_per_op": ns,
+    }, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -33,6 +31,7 @@ from .cpn import (
     a_coeff_closed,
     a_coeff_sum,
     b_coeff_engine,
+    coefficient_table,
     obstruction_order2,
     pr_word_sum,
     table_reduced_product,
@@ -73,6 +72,14 @@ MODES = ("flat", "radial-linear", "radial-quadratic")
 # parser a handful of stack frames, so this keeps it far from the
 # interpreter's recursion limit
 MAX_NESTING = 100
+# Caps on the size of a request, so that an oversized one fails at once
+# with exit 2.  Each is far above every input of the tests and of the
+# benchmark (order 8, dim 3, 8x8 tables); printed results carry powers far
+# below MAX_EXPONENT, so they still parse back.
+MAX_ORDER = 16      # --order: truncation order of the deformation series
+MAX_DIM = 8         # --dim: coordinate pairs or complex coordinates
+MAX_TABLE = 16      # coeffs --kmax and --lmax
+MAX_EXPONENT = 64   # the integer after ^ in an expression
 
 
 class ParseError(ValueError):
@@ -175,6 +182,9 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an integer", epos)
             n = int(text)
+            if n > MAX_EXPONENT:
+                raise ParseError("exponent %d is larger than %d" % (n, MAX_EXPONENT),
+                                 epos)
             if negative:
                 return self.inverse(base, pos) ** n
             return base ** n
@@ -423,6 +433,13 @@ def _emit_json(payload):
 # commands
 
 
+def _check_dim(dim):
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if dim > MAX_DIM:
+        raise ValueError("dim must be at most %d" % MAX_DIM)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated settings shared by the product commands."""
@@ -435,10 +452,11 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _check_dim(self.dim)
         if self.order < 0:
             raise ValueError("order must be nonnegative")
+        if self.order > MAX_ORDER:
+            raise ValueError("order must be at most %d" % MAX_ORDER)
 
     def constraint(self):
         if self.mode == "radial-linear":
@@ -488,39 +506,12 @@ def cmd_reduce(ns):
     return 0
 
 
-def _thread_count():
-    raw = os.environ.get("COSTAR_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError("COSTAR_THREADS must be a positive integer, got %r" % raw)
-    return n
-
-
-def coefficient_cells(kind, kmax, lmax, mu):
-    """Engine-normalized table values, rows k = 1..kmax, columns l = 0..lmax-1."""
-    if kind == "linear":
-        cell = lambda k, l: a_coeff_engine(k, l)
-    else:
-        cell = lambda k, l: b_coeff_engine(k, l, mu)
-    pairs = [(k, l) for k in range(1, kmax + 1) for l in range(lmax)]
-    workers = _thread_count()
-    if workers == 1:
-        values = [cell(k, l) for k, l in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda kl: cell(*kl), pairs))
-    return [values[r * lmax:(r + 1) * lmax] for r in range(kmax)]
-
-
 def cmd_coeffs(ns):
     if ns.kmax < 1 or ns.lmax < 1:
         raise ValueError("kmax and lmax must be at least 1")
-    rows = coefficient_cells(ns.kind, ns.kmax, ns.lmax, ns.mu)
+    if ns.kmax > MAX_TABLE or ns.lmax > MAX_TABLE:
+        raise ValueError("kmax and lmax must be at most %d" % MAX_TABLE)
+    rows = coefficient_table(ns.kind, ns.kmax, ns.lmax, ns.mu)
     cells = [[str(v) for v in row] for row in rows]
     if ns.json:
         _emit_json({
@@ -544,6 +535,7 @@ def cmd_coeffs(ns):
 
 
 def cmd_obstruct(ns):
+    _check_dim(ns.dim)
     f = parse_expression(ns.f, "radial-linear", ns.dim)
     g = parse_expression(ns.g, "radial-linear", ns.dim)
     lhs, rhs, ratio = obstruction_order2(f, g, ns.mu)

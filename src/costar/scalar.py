@@ -55,102 +55,193 @@ def _int_pseudo_rem(a, b):
 
 
 class GaussianRational:
-    """Exact complex scalar re + im*I with rational re, im.
+    """Exact complex scalar (a + b*I)/d with integers a, b and d.
 
-    Fraction keeps both parts gcd-reduced with positive denominator, so
-    structural equality is value equality.  Instances are treated as
+    Values are kept normalised: d > 0 and gcd(a, b, d) == 1, so zero is
+    0/1 and structural equality is value equality.  The rational parts are
+    the derived Fraction properties re and im.  Instances are treated as
     immutable; every operation returns a fresh value.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        q, s = re.denominator, im.denominator
+        g = _int_gcd(q, s)
+        # over lcm(q, s) each prime of the denominator misses one numerator
+        self._a = re.numerator * (s // g)
+        self._b = im.numerator * (q // g)
+        self._d = q // g * s
+
+    @staticmethod
+    def _make(a, b, d):
+        """(a + b*I)/d for integers a, b and d > 0, normalised by one gcd."""
+        g = _int_gcd(d, a, b)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        r = _new(GaussianRational)
+        r._a = a
+        r._b = b
+        r._d = d
+        return r
 
     @staticmethod
     def of(x):
-        if isinstance(x, GaussianRational):
+        if type(x) is GaussianRational:
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _raw(int(x), 0, 1)  # int() stores a bool as 0 or 1
+        if isinstance(x, Fraction):
+            return _raw(x.numerator, 0, x.denominator)
         raise TypeError("cannot interpret %r as a Gaussian rational" % (x,))
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     def is_zero(self):
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _of(other)
+        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _of(other)
+        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        return _of(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _of(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a = a * c
+        return _make(a, b, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            other = _of(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if c < 0:
+                c, f = -c, -f
+            return _make(a * f, b * f, d * c)
+        # multiply through by the conjugate of c + e*I
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        return _of(other) / self
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        out = GaussianRational(1)
+            return ONE / self ** (-n)
+        if not self._b:
+            # gcd(a, d) == 1 carries over to the powers
+            return _raw(self._a ** n, 0, self._d ** n)
+        out = ONE
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GaussianRational:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it compares equal to
+        if self._b:
+            return hash((self.re, self.im))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+
+_new = object.__new__
+_make = GaussianRational._make
+_of = GaussianRational.of
+
+
+def _raw(a, b, d):
+    # (a + b*I)/d for a triple that is already normalised; _make and _sum
+    # build their results inline, as this call costs about as much as the
+    # three stores
+    r = _new(GaussianRational)
+    r._a = a
+    r._b = b
+    r._d = d
+    return r
+
+
+def _sum(a, b, d, c, e, f):
+    # (a + b*I)/d + (c + e*I)/f, normalised without a gcd against d*f
+    if d == 1 and f == 1:
+        a, b = a + c, b + e
+    else:
+        g = _int_gcd(d, f)
+        if g == 1:
+            # a prime of d*f divides just one of d, f, so it misses one part
+            a, b, d = a * f + c * d, b * f + e * d, d * f
+        else:
+            s, t = d // g, f // g
+            a, b, d = a * t + c * s, b * t + e * s, s * f
+            # a prime shared by a, b and lcm(d, f) = s*f also divides g
+            h = _int_gcd(g, a, b)
+            if h != 1:
+                a, b, d = a // h, b // h, d // h
+    r = _new(GaussianRational)
+    r._a = a
+    r._b = b
+    r._d = d
+    return r
 
 
 ZERO = GaussianRational(0)
@@ -305,15 +396,13 @@ class UPoly:
         # primitive integer coefficient list, or None for complex coefficients
         den = 1
         for c in self.coeffs:
-            if c.im:
+            if c._b:
                 return None
-            d = c.re.denominator
-            den = den * d // _int_gcd(den, d)
-        ints = [int(c.re * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, v)
-        return [v // g for v in ints]
+            d = c._d
+            if d != 1:
+                den = den * d // _int_gcd(den, d)
+        ints = [c._a * (den // c._d) for c in self.coeffs]
+        return _int_primitive(ints)
 
     def gcd(self, other):
         other = UPoly.of(other)
@@ -329,8 +418,10 @@ class UPoly:
             # primitive pseudo-remainder sequence over the integers
             while sb:
                 sa, sb = sb, _int_primitive(_int_pseudo_rem(sa, sb))
+            if sa[-1] < 0:
+                sa = [-v for v in sa]
             lead = sa[-1]
-            return UPoly(tuple(Fraction(v, lead) for v in sa))
+            return UPoly(tuple(_make(v, 0, lead) for v in sa))
         a, b = self.monic(), other.monic()
         while not b.is_zero():
             a, b = b, a.divmod(b)[1].monic()

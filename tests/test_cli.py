@@ -182,17 +182,11 @@ def test_coeffs_tsv_grid(capsys):
             assert rows[k - 1][l] == str(a_coeff_engine(k, l))
 
 
-def test_coeffs_quadratic_and_threads(capsys, monkeypatch):
+def test_coeffs_quadratic(capsys):
     argv = ["coeffs", "--kind", "quadratic", "--kmax", "2", "--lmax", "3",
             "--tsv"]
-    _, serial, _ = _run(capsys, argv)
-    assert serial.splitlines()[0].split("\t") == ["1", "-3", "17/2"]
-    monkeypatch.setenv("COSTAR_THREADS", "3")
-    _, threaded, _ = _run(capsys, argv)
-    assert threaded == serial
-    monkeypatch.setenv("COSTAR_THREADS", "zero")
-    code, _, err = _run(capsys, argv)
-    assert code == 2 and "COSTAR_THREADS" in err
+    _, out, _ = _run(capsys, argv)
+    assert out.splitlines()[0].split("\t") == ["1", "-3", "17/2"]
 
 
 def test_coeffs_json(capsys):
@@ -266,3 +260,29 @@ def test_nesting_limit_exits_2(capsys):
     code, out, _ = _run(capsys, ["star", "--mode", "flat", "--dim", "2",
                                  "--order", "1", "--", "-" * 3001 + "q1", "p1"])
     assert code == 0 and out.startswith("order 0: -q1*p1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--order", str(cli.MAX_ORDER + 1), "z1", "zb1"], "order"),
+    (["star", "--mode", "flat", "--dim", str(cli.MAX_DIM + 1), "q1", "p1"], "dim"),
+    (["obstruct", "--dim", str(cli.MAX_DIM + 1), "z1", "zb1"], "dim"),
+    (["coeffs", "--kmax", str(cli.MAX_TABLE + 1)], "kmax"),
+    (["coeffs", "--lmax", str(cli.MAX_TABLE + 1)], "lmax"),
+    (["star", "--mode", "flat", "--dim", "2",
+      "(q1 + p2)^%d" % (cli.MAX_EXPONENT + 1), "p1"], "position 10"),
+    (["reduce", "--mode", "radial-linear", "--dim", "1",
+      "z1*(u - 1)^-%d" % (cli.MAX_EXPONENT + 1), "zb1"], "position 12"),
+])
+def test_size_caps_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_size_caps_admit_benchmark_inputs():
+    # the benchmark reaches order 8, dim 3 and 8x8 tables
+    assert cli.MAX_ORDER >= 8 and cli.MAX_DIM >= 3 and cli.MAX_TABLE >= 8
+    cli.RunConfig("flat", cli.MAX_DIM, cli.MAX_ORDER, Fraction(-1, 2))
+    top = "u^%d" % cli.MAX_EXPONENT
+    assert parse_expression(top, "radial-linear", 1) == \
+        RadialFun.from_radial(RadialRational.u_power(cli.MAX_EXPONENT), 1)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from costar.cli import parse_expression
 from costar.scalar import (
     AlgebraMismatchError,
     GaussianRational,
@@ -31,6 +33,90 @@ def test_gaussian_basics():
 def test_gaussian_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / GaussianRational(0)
+
+
+def test_gaussian_hash_agrees_with_equality():
+    # a real value equals, and so must hash like, the int or Fraction it is
+    assert len({GaussianRational(1), 1}) == 1
+    assert len({GaussianRational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(GaussianRational(Fraction(-6, 4))) == hash(Fraction(-3, 2))
+    assert hash(GaussianRational(0)) == hash(0)
+    assert {GaussianRational(1, 2): "x"}[GaussianRational(Fraction(2, 2), 2)] == "x"
+    assert len({GaussianRational(1, 2), GaussianRational(1, -2)}) == 2
+
+
+# Reference arithmetic for the property test below: a Gaussian rational is a
+# pair (re, im) of Fractions, and nothing here shares code with the engine.
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _ref_mul(out, x)
+    return _ref_div((Fraction(1), Fraction(0)), out) if n < 0 else out
+
+
+def _check(value, want):
+    # the value is the reference pair, stored as normalised (a + b*I)/d
+    assert (value.re, value.im) == want
+    a, b, d = value._a, value._b, value._d
+    assert d > 0 and gcd(gcd(a, b), d) == 1
+    if want == (0, 0):
+        assert (a, b, d) == (0, 0, 1)
+
+
+wide_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+pairs = st.tuples(wide_fractions, wide_fractions)
+
+
+@settings(max_examples=300)
+@given(pairs, pairs, st.integers(min_value=-4, max_value=4))
+def test_gaussian_matches_fraction_pair_reference(x, y, n):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    _check(gx, x)
+    _check(gx + gy, _ref_add(x, y))
+    _check(gx - gy, _ref_sub(x, y))
+    _check(gx * gy, _ref_mul(x, y))
+    _check(gx.conjugate(), (x[0], -x[1]))
+    _check(-gx, (-x[0], -x[1]))
+    _check(gx + x[0], _ref_add(x, (x[0], 0)))
+    _check(y[1] * gx, _ref_mul(x, (y[1], 0)))
+    assert (gx == gy) == (x == y)
+    assert (gx == x[0]) == (x[1] == 0)
+    if y != (0, 0):
+        _check(gx / gy, _ref_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / gy
+    if y[0] != 0:
+        _check(gx / y[0], _ref_div(x, (y[0], 0)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx / y[0]
+    if x != (0, 0) or n >= 0:
+        _check(gx ** n, _ref_pow(x, n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx ** n
+    # printed text parses back to the same value
+    parsed = parse_expression(scalar_text(gx), "flat", 1)
+    _check(parsed.terms.get((0, 0), GaussianRational(0)), x)
 
 
 @given(gaussians, gaussians, gaussians)
