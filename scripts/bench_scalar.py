@@ -1,10 +1,14 @@
 """Time the exact scalar layer on fixed, seeded inputs.
 
 Measures GaussianRational add/mul/div and UPoly mul/divmod/gcd, the
-operations every higher layer of the engine reduces to, and prints one
+operations every higher layer of the engine reduces to, and RadialRational
+construction and derivative over the denominators a reduction on the
+sphere builds: u^a, and u^a (u - 2mu)^b with 2mu = -3 or -1.  Prints one
 JSON line: for each operation the best per-call time in nanoseconds over
---repeat timed passes.  Only the standard library is used, and the engine
-is imported from this checkout's src/.
+--repeat timed passes.  The derivative rows include the hits of its cache
+of denominator splits after the first pass, as a reduction does.  Only the
+standard library is used, and the engine is imported from this checkout's
+src/.
 
     python3 scripts/bench_scalar.py [--seed N] [--repeat R]
 """
@@ -20,11 +24,12 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from costar.scalar import GaussianRational, UPoly  # noqa: E402
+from costar.scalar import GaussianRational, RadialRational, UPoly  # noqa: E402
 
 SCALARS = 400     # scalar operands; ops run on consecutive pairs
 POLYS = 40        # polynomial operands
 DEGREE = 6        # degree of each polynomial operand
+RADIALS = 40      # rational-function operands of each shape
 
 
 def _fraction(rng):
@@ -54,6 +59,25 @@ def inputs(seed):
     return scalars, nonzero, polys, gcd_pairs
 
 
+def radial_pairs(rng, shifted):
+    # (num, den) with den = u^a, or u^a (u - 2mu)^b when shifted, and a
+    # numerator that shares part of den, so construction has work to do
+    out = []
+    for _ in range(RADIALS):
+        den = UPoly.u(rng.randint(1, 6))
+        num = _rational_poly(rng, rng.randint(0, 4)) * UPoly.u(rng.randint(0, 2))
+        if shifted:
+            shift = UPoly((rng.choice((1, 3)), 1))
+            den = den * shift ** rng.randint(1, 3)
+            num = num * shift ** rng.randint(0, 1)
+        out.append((num, den))
+    return out
+
+
+def _derivative_pairs(pairs):
+    return [(RadialRational(num, den), None) for num, den in pairs]
+
+
 def _pairs(xs):
     return list(zip(xs, xs[1:]))
 
@@ -61,6 +85,8 @@ def _pairs(xs):
 def cases(seed):
     scalars, nonzero, polys, gcd_pairs = inputs(seed)
     divisors = [UPoly(p.coeffs[: DEGREE // 2 + 1]) for p in polys]
+    rng = Random(seed)
+    upow, shifted = radial_pairs(rng, False), radial_pairs(rng, True)
     return {
         "gaussian_add": (lambda a, b: a + b, _pairs(scalars)),
         "gaussian_mul": (lambda a, b: a * b, _pairs(scalars)),
@@ -68,6 +94,11 @@ def cases(seed):
         "upoly_mul": (lambda a, b: a * b, _pairs(polys)),
         "upoly_divmod": (lambda a, b: a.divmod(b), list(zip(polys, divisors))),
         "upoly_gcd": (lambda a, b: a.gcd(b), gcd_pairs),
+        "radial_new_u": (RadialRational, upow),
+        "radial_new_u_shift": (RadialRational, shifted),
+        "radial_derivative_u": (lambda f, _: f.derivative(), _derivative_pairs(upow)),
+        "radial_derivative_u_shift": (lambda f, _: f.derivative(),
+                                      _derivative_pairs(shifted)),
     }
 
 

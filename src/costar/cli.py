@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from random import Random
 
 from .cpn import (
@@ -80,6 +81,11 @@ MAX_ORDER = 16      # --order: truncation order of the deformation series
 MAX_DIM = 8         # --dim: coordinate pairs or complex coordinates
 MAX_TABLE = 16      # coeffs --kmax and --lmax
 MAX_EXPONENT = 64   # the integer after ^ in an expression
+# Most monomials a product or power in an expression may expand to, bounded
+# before it is computed; in radial mode each coefficient counts the
+# coefficients of its numerator and denominator in u.  (q1+p1+q2+p2+q3+p3)^12
+# (6188 terms) parses in about 0.7 s on a 2-core VM; ^16 (20349) is refused.
+MAX_TERMS = 10000
 
 
 class ParseError(ValueError):
@@ -154,10 +160,10 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                if text == "*":
-                    value = value * rhs
-                else:
-                    value = value * self.inverse(rhs, pos)
+                if text == "/":
+                    rhs = self.inverse(rhs, pos)
+                self.check_size(self.size(value) * self.size(rhs), pos)
+                value = value * rhs
             else:
                 return value
 
@@ -186,9 +192,23 @@ class _Parser:
                 raise ParseError("exponent %d is larger than %d" % (n, MAX_EXPONENT),
                                  epos)
             if negative:
-                return self.inverse(base, pos) ** n
+                base = self.inverse(base, pos)
+            # a power of s monomials has at most as many as n-multisets of them
+            s = self.size(base)
+            self.check_size(comb(s + n - 1, n) if s else 0, pos)
             return base ** n
         return base
+
+    def size(self, value):
+        if self.flat:
+            return len(value.terms)
+        return sum(len(r.num.coeffs) + len(r.den.coeffs) - 1
+                   for r in value.terms.values())
+
+    def check_size(self, bound, pos):
+        if bound > MAX_TERMS:
+            raise ParseError("expression expands to more than %d terms" % MAX_TERMS,
+                             pos)
 
     def parse_atom(self):
         kind, text, pos = self.advance()

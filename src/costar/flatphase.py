@@ -145,8 +145,9 @@ class FlatPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def partial(self, idx):

@@ -214,8 +214,9 @@ class RadialFun:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def d_z(self, i):

@@ -9,6 +9,7 @@ the arithmetic in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 
@@ -357,8 +358,9 @@ class UPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def divmod(self, other):
@@ -382,6 +384,16 @@ class UPoly:
         return UPoly(quo), UPoly(rem)
 
     def exact_div(self, other):
+        other = UPoly.of(other)
+        k = other._valuation()
+        if k == other.degree():
+            # other is c*u**k: drop k coefficients that must be zero, divide by c
+            cs = self.coeffs
+            if any(cs[:k]):
+                raise ValueError("polynomial division is not exact")
+            q = UPoly(cs[k:])
+            c = other.coeffs[k]
+            return q if c == ONE else q.scale(ONE / c)
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ValueError("polynomial division is not exact")
@@ -391,6 +403,14 @@ class UPoly:
         if self.is_zero():
             return self
         return self.scale(ONE / self.lead())
+
+    def _valuation(self):
+        """v_u: the power of u dividing self, i.e. its count of leading zero
+        coefficients; None for the zero polynomial."""
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return k
+        return None
 
     def _as_primitive_ints(self):
         # primitive integer coefficient list, or None for complex coefficients
@@ -413,6 +433,10 @@ class UPoly:
         # a nonzero constant is coprime to everything
         if self.degree() == 0 or other.degree() == 0:
             return UPoly.of(1)
+        va, vb = self._valuation(), other._valuation()
+        if va == self.degree() or vb == other.degree():
+            # c*u**k shares with a polynomial of valuation v just u**min(k, v)
+            return UPoly.u(min(va, vb))
         sa, sb = self._as_primitive_ints(), other._as_primitive_ints()
         if sa is not None and sb is not None:
             # primitive pseudo-remainder sequence over the integers
@@ -585,15 +609,27 @@ class RadialRational:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def derivative(self):
-        return RadialRational(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        """(n/d)' = (n'r - nq)/(d*r), with (r, q) = _radical_split(d).
+
+        The quotient rule gives (n'd - nd')/d**2; dividing both by
+        g = gcd(d, d') gives the form above.  It is canonical without a
+        gcd: take an irreducible p with p**e exactly dividing d.  Then
+        p**(e-1) exactly divides d' and g, so p divides r = d/g but not
+        q = d'/g, and p does not divide n since gcd(n, d) = 1.  So p does
+        not divide n'r - nq, which is coprime to d*r, as every irreducible
+        factor of d*r divides d.  d and r are monic, and so is d*r.
+        """
+        num, den = self.num, self.den
+        if den.degree() == 0:
+            return RadialRational._raw(num.derivative(), den)
+        r, q = _radical_split(den)
+        return RadialRational._raw(num.derivative() * r - num * q, den * r)
 
     def eval(self, u0):
         u0 = GaussianRational.of(u0)
@@ -614,6 +650,16 @@ class RadialRational:
 
     def __repr__(self):
         return "RadialRational(%r, %r)" % (self.num, self.den)
+
+
+@lru_cache(maxsize=1024)
+def _radical_split(d):
+    """(r, q) = (d/g, d'/g) with g = gcd(d, d') for a monic d of positive
+    degree: r is the square-free part of d (Yun 1976).  Bounded, as each
+    key is a denominator and a reduction reuses a few hundred of them."""
+    dd = d.derivative()
+    g = d.gcd(dd)
+    return d.exact_div(g), dd.exact_div(g)
 
 
 def zero_like(x):

@@ -272,6 +272,14 @@ def test_nesting_limit_exits_2(capsys):
       "(q1 + p2)^%d" % (cli.MAX_EXPONENT + 1), "p1"], "position 10"),
     (["reduce", "--mode", "radial-linear", "--dim", "1",
       "z1*(u - 1)^-%d" % (cli.MAX_EXPONENT + 1), "zb1"], "position 12"),
+    # the term budget, checked before the power or product is expanded
+    (["star", "--mode", "flat", "--dim", "3",
+      "(q1+p1+q2+p2+q3+p3)^16", "p1"], "terms (at position 19)"),
+    (["star", "--mode", "flat", "--dim", "3",
+      "(q1+p1+q2+p2+q3+p3)^6*(q1+p1+q2+p2+q3+p3)^6", "p1"],
+     "terms (at position 21)"),
+    (["reduce", "--mode", "radial-linear", "--dim", "1",
+      "((u+1)^64)^64", "z1"], "terms (at position 10)"),
 ])
 def test_size_caps_exit_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)
@@ -286,3 +294,5 @@ def test_size_caps_admit_benchmark_inputs():
     top = "u^%d" % cli.MAX_EXPONENT
     assert parse_expression(top, "radial-linear", 1) == \
         RadialFun.from_radial(RadialRational.u_power(cli.MAX_EXPONENT), 1)
+    binomial = parse_expression("(q1 + p1)^%d" % cli.MAX_EXPONENT, "flat", 1)
+    assert len(binomial.terms) == cli.MAX_EXPONENT + 1

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costar import scalar
 from costar.cli import parse_expression
 from costar.scalar import (
     AlgebraMismatchError,
@@ -201,6 +202,120 @@ def test_radial_rational_field_ops_pointwise(n1, d1, n2, d2):
         return
     assert sx == fx + gx
     assert px == fx * gx
+
+
+# Reference polynomial arithmetic for the tests below: little-endian lists of
+# Gaussian rationals with their own long division and monic Euclid, so that
+# nothing here runs UPoly.divmod, exact_div or gcd.
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_divmod(a, b):
+    rem, b = _ref_trim(a), _ref_trim(b)
+    quo = [GaussianRational(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for k, bk in enumerate(b):
+            rem[shift + k] = rem[shift + k] - c * bk
+        rem = _ref_trim(rem)
+    return _ref_trim(quo), rem
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else [GaussianRational(1)]
+
+
+gauss_polys = st.lists(gaussians, max_size=5).map(UPoly)
+# c*u**k, the shape of most denominators on the sphere
+monomials = st.builds(lambda c, k: UPoly((0,) * k + (c,)),
+                      nonzero_gaussians, st.integers(0, 6))
+# polynomials with a power of u as a factor, so min(k, v_u) varies
+u_multiples = st.builds(lambda p, j: p * UPoly.u(j), gauss_polys, st.integers(0, 4))
+
+
+@given(monomials, u_multiples, st.booleans())
+def test_gcd_with_monomial_matches_euclid(m, p, swap):
+    a, b = (p, m) if swap else (m, p)
+    assert a.gcd(b) == UPoly(_ref_gcd(a.coeffs, b.coeffs))
+
+
+@given(u_multiples, monomials)
+def test_exact_div_by_monomial_matches_long_division(p, m):
+    quo, rem = _ref_divmod(p.coeffs, m.coeffs)
+    if rem:
+        with pytest.raises(ValueError, match="not exact"):
+            p.exact_div(m)
+    else:
+        assert p.exact_div(m) == UPoly(quo)
+    assert (p * m).exact_div(m) == p
+
+
+def test_exact_div_by_monomial_rejects_a_remainder():
+    u = UPoly.u()
+    with pytest.raises(ValueError, match="not exact"):
+        (u ** 3 + 1).exact_div(u ** 2)
+    with pytest.raises(ValueError, match="not exact"):
+        (u ** 3 + u).exact_div(u.scale(I) ** 2)
+    assert (u ** 3 + u ** 2).exact_div(u.scale(2) ** 2) == (u + 1).scale(Fraction(1, 4))
+
+
+def test_monomial_operands_skip_long_division(monkeypatch):
+    # gcd with, and exact division by, c*u**k run neither the integer
+    # pseudo-remainder sequence nor divmod
+    def generic(*args):
+        raise AssertionError("generic path taken")
+    monkeypatch.setattr(scalar, "_int_pseudo_rem", generic)
+    monkeypatch.setattr(UPoly, "divmod", generic)
+    u = UPoly.u()
+    m = u.scale(3) ** 3
+    for p in ((u + 2) * u ** 2, (u + I) * u ** 2):
+        assert p.gcd(m) == u ** 2 and m.gcd(p) == u ** 2
+        assert (p * m).exact_div(m) == p
+        assert RadialRational(p, m) == RadialRational(p.exact_div(u ** 2), u.scale(27))
+
+
+@st.composite
+def radial_rationals(draw):
+    # n / (u**a (u - c)**b s): repeated factors, complex coefficients and,
+    # when a = b = 0 and s is constant, the denominator 1
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    c = draw(nonzero_gaussians)
+    s = draw(gauss_polys)
+    den = UPoly.u(a) * UPoly((-c, 1)) ** b * (UPoly.of(1) if s.is_zero() else s)
+    return RadialRational(draw(gauss_polys), den)
+
+
+@given(radial_rationals())
+def test_derivative_matches_quotient_rule(f):
+    n, d = f.num, f.den
+    got = f.derivative()
+    assert got == RadialRational(n.derivative() * d - n * d.derivative(), d * d)
+    # canonical without the constructor: coprime parts, monic denominator
+    assert _ref_gcd(got.num.coeffs, got.den.coeffs) == [GaussianRational(1)]
+    assert got.den.lead() == 1
+
+
+@pytest.mark.parametrize("x", [
+    UPoly((1, I, Fraction(1, 2))),
+    RadialRational(UPoly((2, I)), UPoly((0, 1, 1))),
+    parse_expression("q1 + I*p1 - 2", "flat", 1),
+    parse_expression("z1 + zb1/u - 1", "radial-linear", 1),
+], ids=["UPoly", "RadialRational", "FlatPoly", "RadialFun"])
+def test_pow_matches_repeated_product(x):
+    acc = x ** 0
+    for n in range(10):
+        assert x ** n == acc
+        acc = acc * x
 
 
 def test_lambda_series_ring():
