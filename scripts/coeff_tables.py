@@ -9,7 +9,7 @@ u^k M_k directly.
 
 import argparse
 
-from costar.cpn import a_coeff_engine, a_coeff_operator, b_coeff_engine
+from costar.cpn import a_coeff_engine, a_coeff_operator, coefficient_table
 
 
 def print_table(title, rows):
@@ -28,13 +28,10 @@ def main():
                     help="re-derive the small linear cells from the operator")
     args = ap.parse_args()
 
-    linear = [[a_coeff_engine(k, l) for l in range(args.lmax)]
-              for k in range(1, args.kmax + 1)]
-    print_table("linear-constraint table", linear)
-
-    quadratic = [[b_coeff_engine(k, l) for l in range(args.lmax)]
-                 for k in range(1, args.kmax + 1)]
-    print_table("quadratic-constraint table", quadratic)
+    print_table("linear-constraint table",
+                coefficient_table("linear", args.kmax, args.lmax))
+    print_table("quadratic-constraint table",
+                coefficient_table("quadratic", args.kmax, args.lmax))
 
     if args.check:
         bad = 0

@@ -43,6 +43,7 @@ from .radialphase import (
     RadialConstraint,
     RadialFun,
     poisson,
+    scalar_ratio,
     wick_product,
 )
 from .reduction import (
@@ -713,6 +714,16 @@ def _suite_tables(rng, examples):
     ok = ok and b_coeff_engine(1, 1) == -3
     ok = ok and b_coeff_engine(2, 1) == -8
     ok = ok and b_coeff_engine(1, 2) == Fraction(17, 2)
+    # quadratic row cells against the word sums T_l(u^{-k}) they stand for
+    c = RadialConstraint.quadratic(Fraction(-3, 2))
+    setup = radial_setup(c, 1)
+    rows = coefficient_table("quadratic", 3, 5, c.mu)
+    for k in range(1, 4):
+        for l in range(5):
+            h = pr_word_sum(setup, l)(RadialFun.u(1, -k))
+            res = scalar_ratio(setup.prol(h), RadialFun.one(1))
+            ok = ok and res is not None
+            ok = ok and c.sphere_u ** (k + l) * res == rows[k - 1][l]
     pool = _pool()
     for kind, mu in (("linear", Fraction(-1, 2)), ("quadratic", Fraction(-3, 2))):
         c = RadialConstraint(kind, mu)

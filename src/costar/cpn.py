@@ -11,8 +11,14 @@ where the integer table A(k,l) has three independent descriptions kept
 here side by side: a nested-sum recursion, a direct binomial formula and
 the operator definition a^{k+l} res(K^l(u^{-k})).  With the quadratic
 constraint the recursion resolves into words in two letters P (weight 1)
-and R (weight 2), giving an analogous rational table B(k,l).  The two
-tables differ at order two by a multiple of u {f,g}, which makes the two
+and R (weight 2), giving an analogous rational table
+B(k,l) = a^{k+l} res(T_l(u^{-k})), T_l the sum of the words of weight l.
+Splitting each word on its leftmost letter gives T_l = P T_{l-1} + R T_{l-2},
+so one pass h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0
+yields the first n cells of row k with 2n - 3 letter applications, where
+summing the Fibonacci-many words cell by cell costs exponentially many;
+pr_word_sum keeps the word sum as the independent oracle for the rows.
+The two tables differ at order two by a multiple of u {f,g}, which makes the two
 reduced products inequivalent deformations; the exact multiple is
 computed by obstruction_order2.
 """
@@ -166,7 +172,10 @@ def _weight_words(n):
 
 def pr_word_sum(setup, weight):
     """Sum over words in the two letters with total weight as given,
-    rightmost letter acting first; equals the transfer operator T_weight."""
+    rightmost letter acting first; equals the transfer operator T_weight.
+
+    This is the definition of the quadratic rows, kept as the oracle that
+    the row recurrence of _quadratic_row is checked against."""
     p, r = pr_letters(setup)
     letters = {1: p, 2: r}
 
@@ -182,31 +191,47 @@ def pr_word_sum(setup, weight):
     return apply
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _quadratic_row(k, n, mu):
+    # cells l = 0..n-1 of row k from h_l = P(h_{l-1}) + R(h_{l-2}),
+    # h_0 = u^{-k}, h_{-1} = 0: the word sums T_l(u^{-k}) split on their
+    # leftmost letter
+    constraint = RadialConstraint.quadratic(mu)
+    p, r = pr_letters(radial_setup(constraint, 1))
+    a = constraint.sphere_u
+    row = []
+    before, h = None, RadialFun.u(1, -k)
+    for l in range(n):
+        row.append(a ** (k + l) * _real(_restricted_constant(h, constraint)))
+        if l + 1 < n:
+            after = p(h) if before is None else p(h) + r(before)
+            before, h = h, after
+    return tuple(row)
+
+
 def b_coeff_engine(k, l, mu=Fraction(-1, 2)):
-    """Quadratic table a^{k+l} res(T_l(u^{-k})) via the word-sum form of the
-    transfer operators; the value does not depend on mu."""
+    """Quadratic table a^{k+l} res(T_l(u^{-k})), read from row k of the
+    letter recurrence T_l = P T_{l-1} + R T_{l-2}; the value does not
+    depend on mu, but each mu computes its own rows."""
     if k < 0 or l < 0:
         raise ValueError("table indices must be nonnegative")
-    constraint = RadialConstraint.quadratic(mu)
-    setup = radial_setup(constraint, 1)
-    f = pr_word_sum(setup, l)(RadialFun.u(1, -k))
-    a = constraint.sphere_u
-    val = _real(_restricted_constant(f, constraint))
-    return a ** (k + l) * val
+    return _quadratic_row(k, l + 1, mu)[l]
+
+
+def _table_row(kind, k, n, mu):
+    # cells l = 0..n-1 of row k of the linear or the quadratic table
+    if kind == "linear":
+        return [a_coeff_engine(k, l) for l in range(n)]
+    return list(_quadratic_row(k, n, mu))
 
 
 def coefficient_table(kind, kmax, lmax, mu=Fraction(-1, 2)):
     """Table rows k = 1..kmax, columns l = 0..lmax-1 for one constraint."""
     if kmax < 1 or lmax < 1:
         raise ValueError("table extents must be positive")
-    if kind == "linear":
-        cell = lambda k, l: a_coeff_engine(k, l)
-    elif kind == "quadratic":
-        cell = lambda k, l: b_coeff_engine(k, l, mu)
-    else:
+    if kind not in ("linear", "quadratic"):
         raise ValueError("table kind must be 'linear' or 'quadratic'")
-    return [[cell(k, l) for l in range(lmax)] for k in range(1, kmax + 1)]
+    return [_table_row(kind, k, lmax, mu) for k in range(1, kmax + 1)]
 
 
 def table_reduced_product(constraint, f, g, order):
@@ -219,18 +244,14 @@ def table_reduced_product(constraint, f, g, order):
         if not is_homogeneous(x):
             raise MembershipError("closed form needs homogeneous factors")
     a = constraint.sphere_u
-    if constraint.kind == "linear":
-        cell = lambda k, l: a_coeff_engine(k, l)
-    else:
-        cell = lambda k, l: b_coeff_engine(k, l, constraint.mu)
     out = [RadialFun.zero(f.dim) for _ in range(order + 1)]
     for k in range(order + 1):
         mk = wick_kernel(f, g, k)
         if mk.is_zero():
             continue
         uk_mk = mk.mul_radial(RadialRational.u_power(k))
-        for l in range(order - k + 1):
-            c = cell(k, l)
+        row = _table_row(constraint.kind, k, order - k + 1, constraint.mu)
+        for l, c in enumerate(row):
             if not c:
                 continue
             out[k + l] = out[k + l] + uk_mk.scale(c / a ** (k + l))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from costar import cpn
 from costar.cpn import (
     a_coeff_closed,
     a_coeff_engine,
@@ -22,7 +23,9 @@ from costar.radialphase import (
     RadialConstraint,
     RadialFun,
     poisson,
+    prol,
     restrict,
+    scalar_ratio,
     vanishes_on_sphere,
 )
 from costar.reduction import (
@@ -106,10 +109,63 @@ def test_quadratic_table_frozen_values():
 
 
 def test_quadratic_table_is_mu_independent():
-    for mu in [Fraction(-1, 2), Fraction(-2), Fraction(-7, 3)]:
-        for k in range(3):
-            for l in range(4):
-                assert b_coeff_engine(k, l, mu) == b_coeff_engine(k, l)
+    # each mu computes its own rows, so agreement is a real check
+    mus = [Fraction(-1, 2), Fraction(-2), Fraction(-7, 3)]
+    tables = [coefficient_table("quadratic", 8, 10, mu) for mu in mus]
+    assert tables[0] == tables[1] == tables[2]
+    for mu in mus:
+        assert [b_coeff_engine(0, l, mu) for l in range(4)] == [1, 0, 0, 0]
+
+
+def word_sum_cell(k, l, mu):
+    # the definition a^{k+l} res(T_l(u^{-k})), T_l the sum of all words of
+    # weight l, restricted and scaled here rather than by the engine
+    c = RadialConstraint.quadratic(mu)
+    h = pr_word_sum(radial_setup(c, 1), l)(RadialFun.u(1, -k))
+    res = scalar_ratio(prol(h, c), RadialFun.one(1))
+    assert res is not None and res.im == 0
+    return c.sphere_u ** (k + l) * res.re
+
+
+@pytest.mark.parametrize("mu", [Fraction(-1, 2), Fraction(-2), Fraction(-7, 3)])
+def test_quadratic_rows_match_word_sums(mu):
+    rows = [[b_coeff_engine(0, l, mu) for l in range(8)]]
+    rows += coefficient_table("quadratic", 5, 8, mu)
+    for k, row in enumerate(rows):
+        assert row == [word_sum_cell(k, l, mu) for l in range(8)]
+
+
+def test_b_coeff_engine_reads_table_cells():
+    for mu in [Fraction(-1, 2), Fraction(-5, 4)]:
+        table = coefficient_table("quadratic", 4, 6, mu)
+        for k in range(1, 5):
+            for l in range(6):
+                assert b_coeff_engine(k, l, mu) == table[k - 1][l]
+    for k, l in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            b_coeff_engine(k, l)
+
+
+def test_quadratic_table_letter_calls_are_linear_in_lmax(monkeypatch):
+    # a row costs 2*lmax - 3 letters; a word sum per cell costs a number
+    # that grows like the Fibonacci numbers
+    calls = []
+
+    def counting_letters(setup):
+        def count(letter):
+            def counted(f):
+                calls.append(1)
+                return letter(f)
+            return counted
+        return tuple(count(x) for x in pr_letters(setup))
+
+    monkeypatch.setattr(cpn, "pr_letters", counting_letters)
+    assert cpn._quadratic_row.cache_info().maxsize is not None
+    cpn._quadratic_row.cache_clear()
+    kmax, lmax = 6, 9
+    coefficient_table("quadratic", kmax, lmax, Fraction(-3, 2))
+    assert 0 < len(calls) <= 2 * kmax * (lmax - 1)
+    cpn._quadratic_row.cache_clear()
 
 
 def test_coefficient_table_layout():
