@@ -82,6 +82,9 @@ MAX_ORDER = 16      # --order: truncation order of the deformation series
 MAX_DIM = 8         # --dim: coordinate pairs or complex coordinates
 MAX_TABLE = 16      # coeffs --kmax and --lmax
 MAX_EXPONENT = 64   # the integer after ^ in an expression
+# verify --examples; each example costs about 0.6 s over the six suites,
+# and --examples 50 takes 28-30 s on a 2-core VM
+MAX_EXAMPLES = 50
 # Most monomials a product or power in an expression may expand to, bounded
 # before it is computed; in radial mode each coefficient counts the
 # coefficients of its numerator and denominator in u.  (q1+p1+q2+p2+q3+p3)^12
@@ -759,6 +762,8 @@ SUITES = (
 
 
 def cmd_verify(ns):
+    if not 1 <= ns.examples <= MAX_EXAMPLES:
+        raise ValueError("examples must be between 1 and %d" % MAX_EXAMPLES)
     failed = False
     for name, suite in SUITES:
         if ns.suite != "all" and ns.suite != name:

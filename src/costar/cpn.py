@@ -134,15 +134,13 @@ def a_coeff_operator(k, l, mu=Fraction(-1, 2), dim=1):
 
 def pr_letters(setup):
     """The two word letters of the quadratic transfer recursion, built from
-    the product kernels: P(f) = -M_1(pi_J f, J), R(f) = -M_2(pi_J f, J)."""
-
-    def p(f):
-        return -setup.kernel(setup.pij(f), setup.j, 1)
+    the product kernels: P = K is the transfer kernel -M_1(pi_J f, J), and
+    R(f) = -M_2(pi_J f, J)."""
 
     def r(f):
         return -setup.kernel(setup.pij(f), setup.j, 2)
 
-    return p, r
+    return transfer_kernel(setup), r
 
 
 def pr_letters_euler(constraint, dim):
@@ -258,7 +256,7 @@ def table_reduced_product(constraint, f, g, order):
     return LambdaSeries(tuple(out))
 
 
-def obstruction_order2(f, g, mu, order_check=2):
+def obstruction_order2(f, g, mu):
     """Antisymmetrized order-2 difference of the two reduced products.
 
     Returns (lhs, rhs, ratio) with
@@ -272,7 +270,7 @@ def obstruction_order2(f, g, mu, order_check=2):
     a = -2 * Fraction(mu)
 
     def second(setup, x, y):
-        return reduce_star(setup, x, y, order_check)[2]
+        return reduce_star(setup, x, y, 2)[2]
 
     lhs = (second(quad, f, g) - second(lin, f, g)) \
         - (second(quad, g, f) - second(lin, g, f))

@@ -6,11 +6,10 @@ J = p_n with its prolongation/difference-quotient pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .scalar import AlgebraMismatchError, GaussianRational, I, LambdaSeries
+from .scalar import AlgebraMismatchError, GaussianRational, I, LambdaSeries, _power
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -140,15 +139,7 @@ class FlatPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = FlatPoly.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, FlatPoly.one(self.dim))
 
     def partial(self, idx):
         """Derivative by the 0-based coordinate index over (q1..qn, p1..pn)."""
@@ -272,26 +263,12 @@ def moyal_product(f, g, order):
     return LambdaSeries(tuple(moyal_kernel(f, g, r) for r in range(order + 1)))
 
 
-@dataclass(frozen=True)
-class FlatConstraint:
-    """The constraint function J = p_n on R^{2n}; its zero set is the
-    coisotropic hyperplane C = {p_n = 0}, with reduced space R^{2(n-1)}."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("flat constraint needs dim >= 2")
-
-    def j(self):
-        return FlatPoly.p(self.dim, self.dim)
-
-
 def prol(f):
     """Prolongation: substitute p_n = 0 and view the result ambiently.
 
-    Sections of C built this way are constant along the p_n direction, so
-    prol is a projection with prol(prol f) = prol f.
+    Read as a function on C = {p_n = 0}, the same substitution is the
+    restriction.  Sections of C built this way are constant along the p_n
+    direction, so prol is a projection with prol(prol f) = prol f.
     """
     idx = 2 * f.dim - 1
     return FlatPoly(f.dim, {k: c for k, c in f.terms.items() if k[idx] == 0})
@@ -305,12 +282,6 @@ def pij(f):
         if key[idx]:
             out[key[:idx] + (key[idx] - 1,)] = c
     return FlatPoly(f.dim, out)
-
-
-def restrict(f):
-    """Restriction to C = {p_n = 0}; for the flat model this is the same
-    substitution as prol, read as a function on C."""
-    return prol(f)
 
 
 def drop_last_pair(f):

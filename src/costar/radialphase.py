@@ -34,6 +34,7 @@ from .scalar import (
     PoleError,
     RadialRational,
     UPoly,
+    _power,
 )
 
 ZERO = GaussianRational(0)
@@ -209,15 +210,7 @@ class RadialFun:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = RadialFun.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, RadialFun.one(self.dim))
 
     def d_z(self, i):
         """Derivative by z^i (1-based); du/dz^i = zbar^i."""

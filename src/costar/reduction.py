@@ -2,8 +2,8 @@
 
 Everything here is generic over a phase setup: an algebra with a graded
 family of product kernels M_r, a constraint element J cutting out the
-reduced space C, and the three classical maps restriction, prolongation
-and the difference quotient pi_J with f = prol f + pi_J(f) * J.
+reduced space C, and the two classical maps prolongation and the
+difference quotient pi_J with f = prol f + pi_J(f) * J.
 
 The central object is the transfer operator series T, defined by
 
@@ -20,6 +20,8 @@ product of two functions on C is then
     f x g = S^{-1}( prol( T( S(f) * S(g) ) ) )
 
 for an intertwiner S that starts at the identity; the default S = id.
+S^{-1} is applied by the same forward substitution, with the terms of S
+in place of the kernels.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def identity(x):
 class PhaseSetup:
     """A phase space with constraint, product kernels and classical maps.
 
-    kernel(f, g, r) is the order-r bidifferential product term; prol, pij
-    and restrict satisfy f = prol(f) + pij(f) * j with prol(j) = 0, and
+    kernel(f, g, r) is the order-r bidifferential product term; prol and
+    pij satisfy f = prol(f) + pij(f) * j with prol(j) = 0, and
     bracket is the Poisson bracket generating kernel antisymmetry at
     order one.
     """
@@ -55,7 +57,6 @@ class PhaseSetup:
     kernel: Callable
     prol: Callable
     pij: Callable
-    restrict: Callable
     bracket: Callable
     one: object
     zero: object
@@ -84,7 +85,6 @@ def flat_setup(n):
         kernel=flatphase.moyal_kernel,
         prol=flatphase.prol,
         pij=flatphase.pij,
-        restrict=flatphase.restrict,
         bracket=flatphase.poisson,
         one=flatphase.FlatPoly.one(n),
         zero=flatphase.FlatPoly.zero(n),
@@ -99,7 +99,6 @@ def radial_setup(constraint, dim):
         kernel=radialphase.wick_kernel,
         prol=lambda f: radialphase.prol(f, constraint),
         pij=lambda f: radialphase.pij(f, constraint),
-        restrict=lambda f: radialphase.restrict(f, constraint),
         bracket=radialphase.poisson,
         one=radialphase.RadialFun.one(dim),
         zero=radialphase.RadialFun.zero(dim),
@@ -116,12 +115,15 @@ class OperatorSeries:
     def order(self):
         return len(self.ops) - 1
 
-    def apply(self, series):
+    def _check_order(self, series):
         if series.order > self.order:
             raise ValueError(
                 "operator series of order %d applied to series of order %d"
                 % (self.order, series.order)
             )
+
+    def apply(self, series):
+        self._check_order(series)
         out = []
         for m in range(series.order + 1):
             acc = self.ops[0](series[m])
@@ -130,50 +132,24 @@ class OperatorSeries:
             out.append(acc)
         return LambdaSeries(tuple(out))
 
-    def compose(self, other):
-        n = min(self.order, other.order)
-
-        def make(m):
-            def composed(f):
-                acc = None
-                for k in range(m + 1):
-                    term = self.ops[k](other.ops[m - k](f))
-                    acc = term if acc is None else acc + term
-                return acc
-
-            return composed
-
-        return OperatorSeries(tuple(make(m) for m in range(n + 1)))
-
-
-def operator_series_invert(series):
-    """Invert an operator series with unit leading term.
-
-    U_0 = id, U_n = - sum_{k=1..n} T_k o U_{n-k}; then U o T = T o U = id
-    order by order.
-    """
-    ops = series.ops
-    if ops[0] is not identity:
-        raise ValueError("can only invert a series whose leading term is the identity")
-    inv = [identity]
-
-    def make(n):
-        def u_n(f):
-            acc = None
-            for k in range(1, n + 1):
-                term = ops[k](inv[n - k](f))
-                acc = term if acc is None else acc + term
-            return -acc
-
-        return u_n
-
-    for n in range(1, len(ops)):
-        inv.append(make(n))
-    return OperatorSeries(tuple(inv))
+    def apply_inverse(self, series):
+        """The inverse series applied by forward substitution,
+        h_m = a_m - sum_{k=1..m} ops[k](h_{m-k}): n(n+1)/2 operator calls
+        at order n.  Only a series with identity leading term inverts."""
+        if self.ops[0] is not identity:
+            raise ValueError("can only invert a series whose leading term is the identity")
+        self._check_order(series)
+        h = []
+        for m, acc in enumerate(series.coeffs):
+            for k in range(1, m + 1):
+                acc = acc - self.ops[k](h[m - k])
+            h.append(acc)
+        return LambdaSeries(tuple(h))
 
 
 def transfer_series(setup, series):
     """The transfer image h = T(series), by forward substitution."""
+    # not an apply_inverse of 1 + D, which would run one pij per kernel call
     h, quotients = [], []
     for m, acc in enumerate(series.coeffs):
         for k in range(1, m + 1):
@@ -205,7 +181,8 @@ def star_series(setup, fs, gs):
 
 
 def star_elements(setup, f, g, order):
-    return star_series(setup, setup.as_series(f, order), setup.as_series(g, order))
+    """f * g = sum_r M_r(f, g), one kernel call per order."""
+    return LambdaSeries(setup.kernel(f, g, r) for r in range(order + 1))
 
 
 def decompose_deformed(setup, series):
@@ -248,12 +225,8 @@ class Intertwiner:
     None stands for the identity at every order."""
 
     def __init__(self, ops=None):
-        if ops is not None:
-            if ops.ops[0] is not identity:
-                raise ValueError("intertwiner must start at the identity")
-            self._inv = operator_series_invert(ops)
-        else:
-            self._inv = None
+        if ops is not None and ops.ops[0] is not identity:
+            raise ValueError("intertwiner must start at the identity")
         self.ops = ops
 
     @staticmethod
@@ -268,7 +241,7 @@ class Intertwiner:
         return series if self.ops is None else self.ops.apply(series)
 
     def apply_inverse(self, series):
-        return series if self._inv is None else self._inv.apply(series)
+        return series if self.ops is None else self.ops.apply_inverse(series)
 
 
 def reduce_star_series(setup, fs, gs, intertwiner=None):

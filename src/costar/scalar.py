@@ -29,6 +29,19 @@ def _as_fraction(x):
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 
 
+def _power(base, n, one):
+    # base ** n for an int n >= 0 by square-and-multiply; the base is not
+    # squared past the top bit of n, where that square would go unused
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def _int_primitive(cs):
     g = 0
     for v in cs:
@@ -173,15 +186,7 @@ class GaussianRational:
         if not self._b:
             # gcd(a, d) == 1 carries over to the powers
             return _raw(self._a ** n, 0, self._d ** n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, ONE)
 
     def __eq__(self, other):
         if type(other) is GaussianRational:
@@ -353,15 +358,7 @@ class UPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise TypeError("polynomial exponent must be a nonnegative integer")
-        out = UPoly.of(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, UPoly.of(1))
 
     def divmod(self, other):
         other = UPoly.of(other)
@@ -604,15 +601,7 @@ class RadialRational:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return (RadialRational.of(1) / self) ** (-n)
-        out = RadialRational.of(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, RadialRational.of(1))
 
     def derivative(self):
         """(n/d)' = (n'r - nq)/(d*r), with (r, q) = _radical_split(d).

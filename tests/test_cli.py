@@ -280,6 +280,11 @@ def test_nesting_limit_exits_2(capsys):
      "terms (at position 21)"),
     (["reduce", "--mode", "radial-linear", "--dim", "1",
       "((u+1)^64)^64", "z1"], "terms (at position 10)"),
+    # verify runs no suite unless the example count is in range
+    (["verify", "--examples", "-1"], "examples"),
+    (["verify", "--examples", "0"], "examples"),
+    (["verify", "--examples", str(cli.MAX_EXAMPLES + 1)], "examples"),
+    (["verify", "--suite", "tables", "--examples", "100000000"], "examples"),
 ])
 def test_size_caps_exit_2(capsys, argv, message):
     code, out, err = _run(capsys, argv)

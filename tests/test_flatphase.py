@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from costar.flatphase import (
-    FlatConstraint,
     FlatPoly,
     drop_last_pair,
     moyal_kernel,
@@ -12,8 +11,8 @@ from costar.flatphase import (
     pij,
     poisson,
     prol,
-    restrict,
 )
+from costar.reduction import flat_setup
 from costar.scalar import AlgebraMismatchError, GaussianRational, I
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -143,14 +142,13 @@ def test_moyal_associative_order_six():
 
 
 def test_constraint_and_prolongation():
-    c = FlatConstraint(2)
-    assert c.j() == p(2)
+    assert flat_setup(2).j == p(2)
     with pytest.raises(ValueError):
-        FlatConstraint(1)
+        flat_setup(1)
     f = q(1) + p(2) * q(2) + p(2) ** 2
     assert prol(f) == q(1)
     assert pij(f) == q(2) + p(2)
-    assert restrict(c.j()).is_zero()
+    assert prol(p(2)).is_zero()
 
 
 @given(flat_polys())

@@ -17,7 +17,6 @@ from costar.reduction import (
     in_bstar,
     in_istar,
     is_in_b_cap_f,
-    operator_series_invert,
     radial_setup,
     reduce_star,
     star_elements,
@@ -158,26 +157,25 @@ def test_flat_transfer_first_order_constant():
 def test_operator_series_inversion_neumann():
     # (id + t K)^-1 = id - t K + t^2 K^2 on any input
     k = lambda f: f * RadialFun.u(2)
-    ops = OperatorSeries((identity, k, lambda f: RadialFun.zero(2)))
-    inv = operator_series_invert(ops)
+    zero = RadialFun.zero(2)
+    ops = OperatorSeries((identity, k, lambda f: zero))
     f = RadialFun.z(1, 2) * RadialFun.zbar(2, 2) + RadialFun.one(2)
     u = RadialFun.u(2)
-    assert inv.ops[0] is identity
-    assert inv.ops[1](f) == -(f * u)
-    assert inv.ops[2](f) == f * u * u
+    inv = ops.apply_inverse(LambdaSeries((f, zero, zero)))
+    assert inv == LambdaSeries((f, -(f * u), f * u * u))
     with pytest.raises(ValueError, match="identity"):
-        operator_series_invert(OperatorSeries((k, identity)))
+        OperatorSeries((k, identity)).apply_inverse(LambdaSeries((f, zero)))
+    with pytest.raises(ValueError, match="order"):
+        ops.apply_inverse(LambdaSeries((f, zero, zero, zero)))
 
 
 @given(even_funs(), even_funs(), even_funs())
 def test_transfer_inverse_round_trip(f0, f1, f2):
     setup = radial_setup(RadialConstraint.linear(-HALF), 2)
     t = transfer_ops(setup, 2)
-    u = operator_series_invert(t)
     fs = LambdaSeries((f0, f1, f2))
-    assert u.apply(t.apply(fs)) == fs
-    assert t.apply(u.apply(fs)) == fs
-    assert t.compose(u).apply(fs) == fs
+    assert t.apply_inverse(t.apply(fs)) == fs
+    assert t.apply(t.apply_inverse(fs)) == fs
 
 
 @given(even_funs(), even_funs())
@@ -187,9 +185,9 @@ def test_decompose_deformed_reconstructs(f0, f1):
     p, w = decompose_deformed(setup, fs)
     for c in p.coeffs:
         assert setup.prol(c) == c
-    u = operator_series_invert(transfer_ops(setup, fs.order))
+    u_p = transfer_ops(setup, fs.order).apply_inverse(p)
     jser = setup.as_series(setup.j, fs.order)
-    assert u.apply(p) + star_series(setup, w, jser) == fs
+    assert u_p + star_series(setup, w, jser) == fs
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
@@ -335,11 +333,14 @@ def test_transfer_series_matches_paper_recursion(setup):
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
 def test_transfer_inverse_is_one_plus_d(setup):
-    # U = T^{-1} = 1 + D with D_k f = M_k(pi_J f, J)
-    u = operator_series_invert(transfer_ops(setup, 4))
+    # U = T^{-1} = 1 + D with D_k f = M_k(pi_J f, J); U_k f is component k
+    # of U(f, 0, ..., 0)
+    t = transfer_ops(setup, 4)
     for f in sample_series(setup, 4).coeffs:
+        u = t.apply_inverse(setup.as_series(f, 4))
+        assert u[0] == f
         for k in range(1, 5):
-            assert u.ops[k](f) == setup.kernel(setup.pij(f), setup.j, k)
+            assert u[k] == setup.kernel(setup.pij(f), setup.j, k)
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
@@ -363,3 +364,39 @@ def test_transfer_series_call_counts(setup):
         calls.clear()
         transfer_ops(counted, n).ops[n](a[0])
         assert calls == Counter(pij=n, kernel=n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_star_elements_call_counts(setup):
+    # f * g at order n needs M_0..M_n once each, and no kernel of a zero
+    calls = Counter()
+
+    def kernel(f, g, r):
+        calls[r] += 1
+        return setup.kernel(f, g, r)
+
+    counted = dataclasses.replace(setup, kernel=kernel)
+    f = sample_series(setup, 0)[0]
+    for n in range(7):
+        calls.clear()
+        got = star_elements(counted, f, setup.j, n)
+        assert calls == Counter(range(n + 1))
+        want = star_series(setup, setup.as_series(f, n), setup.as_series(setup.j, n))
+        assert got == want
+
+
+def test_apply_inverse_call_counts():
+    # forward substitution makes n(n+1)/2 operator calls at order n
+    calls = Counter()
+    u = RadialFun.u(2)
+
+    def op(f):
+        calls["op"] += 1
+        return f * u
+
+    f = RadialFun.one(2)
+    for n in range(9):
+        calls.clear()
+        ops = OperatorSeries((identity,) + (op,) * n)
+        ops.apply_inverse(LambdaSeries((f,) * (n + 1)))
+        assert calls["op"] == n * (n + 1) // 2
