@@ -7,9 +7,16 @@ J = p_n with its prolongation/difference-quotient pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .scalar import AlgebraMismatchError, GaussianRational, I, LambdaSeries, _power
+from .scalar import (
+    AlgebraMismatchError,
+    GaussianRational,
+    I,
+    LambdaSeries,
+    _compositions,
+    _multi_factorial,
+    _power,
+)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -194,14 +201,9 @@ def poisson(f, g):
     return out
 
 
-def _compositions(total, parts):
-    # all tuples of `parts` nonnegative integers summing to `total`
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _degrees(f):
+    # largest exponent of each coordinate in f, all zero for the zero polynomial
+    return tuple(map(max, zip(*f.terms))) if f.terms else (0,) * (2 * f.dim)
 
 
 def _multi_partial(f, qexp, pexp):
@@ -219,31 +221,33 @@ def _multi_partial(f, qexp, pexp):
     return out
 
 
-def _multi_factorial(exp):
-    n = 1
-    for e in exp:
-        n *= factorial(e)
-    return n
-
-
 def moyal_kernel(f, g, r):
     """Order-r Moyal bidifferential kernel M_r(f, g).
 
     M_r(f,g) = (i/2)^r sum over multi-indices s, t with |s|+|t| = r of
     (-1)^{|t|} / (s! t!) (d_q^s d_p^t f)(d_p^s d_q^t g), so that M_0 = fg and
     M_1(f,g) - M_1(g,f) = i {f, g}.
+
+    Only multi-indices with s_i <= min(deg_{q_i} f, deg_{p_i} g) and
+    t_i <= min(deg_{p_i} f, deg_{q_i} g) are enumerated, and only orders
+    |s| that leave |t| within its caps: every other term has an
+    identically zero derivative.  So M_r(f, p_n) with r >= 2 takes no
+    derivative at all.
     """
     f._check(g)
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
     n = f.dim
+    fdeg, gdeg = _degrees(f), _degrees(g)
+    scap = tuple(map(min, fdeg[:n], gdeg[n:]))
+    tcap = tuple(map(min, fdeg[n:], gdeg[:n]))
     acc = FlatPoly.zero(n)
-    for js in range(r + 1):
-        for s in _compositions(js, n):
+    for js in range(max(0, r - sum(tcap)), min(r, sum(scap)) + 1):
+        for s in _compositions(js, scap):
             df = _multi_partial(f, s, (0,) * n)
             if df.is_zero():
                 continue
-            for t in _compositions(r - js, n):
+            for t in _compositions(r - js, tcap):
                 dft = _multi_partial(df, (0,) * n, t)
                 if dft.is_zero():
                     continue

@@ -34,6 +34,8 @@ from .scalar import (
     PoleError,
     RadialRational,
     UPoly,
+    _compositions,
+    _multi_factorial,
     _power,
 )
 
@@ -47,15 +49,6 @@ class ParityError(ValueError):
 
 def _term_parity(key):
     return (sum(key[0]) + sum(key[1])) % 2
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def _multinomial(k, s):
@@ -288,7 +281,7 @@ class RadialFun:
             for k, c in enumerate(num.coeffs):
                 if c.is_zero():
                     continue
-                for s in _compositions(k, self.dim):
+                for s in _compositions(k, (k,) * self.dim):
                     key = (
                         tuple(x + y for x, y in zip(alpha, s)),
                         tuple(x + y for x, y in zip(beta, s)),
@@ -476,7 +469,7 @@ def wick_kernel(f, g, r):
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
     acc = RadialFun.zero(f.dim)
-    for s in _compositions(r, f.dim):
+    for s in _compositions(r, (r,) * f.dim):
         df = _dz_multi(f, s, "z")
         if not df.terms:
             continue
@@ -486,13 +479,6 @@ def wick_kernel(f, g, r):
         c = Fraction(2 ** r, _multi_factorial(s))
         acc = acc + (df * dg).scale(c)
     return acc
-
-
-def _multi_factorial(s):
-    n = 1
-    for e in s:
-        n *= factorial(e)
-    return n
 
 
 def _dz_multi(f, s, kind):

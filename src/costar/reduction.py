@@ -14,7 +14,8 @@ star ideal: T(f * J) = f J order by order.  The recursion makes T the
 inverse of 1 + D with (D a)_m = sum_{k>=1} M_k(pi_J(a_{m-k}), J), so
 transfer_series solves h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J)
 forward for h = T(a): n pi_J and n(n+1)/2 kernel calls at order n, where
-the unfolded recursion makes a number exponential in n.  The reduced
+the unfolded recursion makes a number exponential in n.  transfer_ops
+reads each T_n(f) off one such run per input f.  The reduced
 product of two functions on C is then
 
     f x g = S^{-1}( prol( T( S(f) * S(g) ) ) )
@@ -147,24 +148,59 @@ class OperatorSeries:
         return LambdaSeries(tuple(h))
 
 
+class _TransferRun:
+    """The forward substitution h = T(a), extended one order at a time.
+
+    push(a_m) returns h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J).
+    pi_J(h_{m-1}) is taken when a_m is pushed, so a run of n + 1 orders
+    makes n pij and n(n+1)/2 kernel calls.  It is not an apply_inverse of
+    1 + D, which would run one pij per kernel call.
+    """
+
+    __slots__ = ("setup", "h", "quotients")
+
+    def __init__(self, setup):
+        self.setup = setup
+        self.h = []
+        self.quotients = []
+
+    def push(self, a):
+        setup, m = self.setup, len(self.h)
+        if m:
+            self.quotients.append(setup.pij(self.h[-1]))
+        for k in range(1, m + 1):
+            a = a - setup.kernel(self.quotients[m - k], setup.j, k)
+        self.h.append(a)
+        return a
+
+
 def transfer_series(setup, series):
     """The transfer image h = T(series), by forward substitution."""
-    # not an apply_inverse of 1 + D, which would run one pij per kernel call
-    h, quotients = [], []
-    for m, acc in enumerate(series.coeffs):
-        for k in range(1, m + 1):
-            acc = acc - setup.kernel(quotients[m - k], setup.j, k)
-        h.append(acc)
-        if m < series.order:
-            quotients.append(setup.pij(acc))
-    return LambdaSeries(tuple(h))
+    run = _TransferRun(setup)
+    return LambdaSeries(tuple(run.push(a) for a in series.coeffs))
 
 
 def transfer_ops(setup, order):
-    """T as an operator series: T_n(f) is component n of T(f, 0, ..., 0)."""
+    """T as an operator series: T_n(f) is component n of T(f, 0, ..., 0).
+
+    All operators share one run of that substitution per input f, kept
+    for as long as the returned series lives, so apply at order n makes
+    sum_j (n-j)(n-j+1)/2 kernel and sum_j (n-j) pij calls.
+    """
+    runs = {}
+
+    def component(f, n):
+        run = runs.get(id(f))
+        if run is None:
+            # the run's h[0] is f itself, so id(f) is not reused while it lives
+            run = runs[id(f)] = _TransferRun(setup)
+            run.push(f)
+        while len(run.h) <= n:
+            run.push(setup.zero)
+        return run.h[n]
+
     return OperatorSeries((identity,) + tuple(
-        (lambda f, n=n: transfer_series(setup, setup.as_series(f, n))[n])
-        for n in range(1, order + 1)))
+        (lambda f, n=n: component(f, n)) for n in range(1, order + 1)))
 
 
 def star_series(setup, fs, gs):

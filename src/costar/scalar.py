@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from math import gcd as _int_gcd
 
 
@@ -40,6 +41,26 @@ def _power(base, n, one):
         if n:
             base = base * base
     return out
+
+
+def _compositions(total, caps):
+    # all tuples e with sum(e) == total and 0 <= e[i] <= caps[i], in
+    # lexicographic order; nothing when the caps cannot reach the total
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for head in range(max(0, total - room), min(total, caps[0]) + 1):
+        for rest in _compositions(total - head, caps[1:]):
+            yield (head,) + rest
+
+
+def _multi_factorial(exp):
+    n = 1
+    for e in exp:
+        n *= factorial(e)
+    return n
 
 
 def _int_primitive(cs):

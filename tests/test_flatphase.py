@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from costar.flatphase import (
     FlatPoly,
@@ -177,3 +179,81 @@ def test_moyal_closure_on_reduced_variables(f, g):
     s = moyal_product(f, g, 3)
     for coeff in s:
         assert all(k[1] == 0 and k[3] == 0 for k in coeff.terms)
+
+
+def _uncapped_moyal(f, g, r):
+    # the Moyal sum over every pair of multi-indices (s, t), with no
+    # degree caps and no early exits
+    n = f.dim
+
+    def tuples(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in tuples(total - head, parts - 1):
+                yield (head,) + rest
+
+    def derive(h, offset, exps):
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                h = h.partial(offset + i)
+        return h
+
+    acc = FlatPoly.zero(n)
+    for js in range(r + 1):
+        for s in tuples(js, n):
+            for t in tuples(r - js, n):
+                df = derive(derive(f, 0, s), n, t)
+                dg = derive(derive(g, n, s), 0, t)
+                den = 1
+                for e in s + t:
+                    den *= factorial(e)
+                acc = acc + (df * dg).scale(Fraction((-1) ** (r - js), den))
+    return acc.scale((I * Fraction(1, 2)) ** r)
+
+
+@st.composite
+def uneven_polys(draw, dim):
+    # each coordinate gets its own degree bound, so the caps differ per index
+    bounds = draw(st.lists(st.integers(0, 3), min_size=2 * dim, max_size=2 * dim))
+    keys = st.tuples(*(st.integers(0, b) for b in bounds))
+    terms = draw(st.dictionaries(keys, small_gaussians, min_size=1, max_size=3))
+    return FlatPoly(dim, terms)
+
+
+def kernel_inputs(dim):
+    poly = st.one_of(
+        st.just(FlatPoly.zero(dim)),
+        st.builds(lambda c: FlatPoly.constant(c, dim), small_gaussians),
+        uneven_polys(dim),
+    )
+    return st.tuples(poly, poly)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(kernel_inputs), st.integers(0, 4))
+def test_moyal_kernel_matches_uncapped_sum(fg, r):
+    f, g = fg
+    assert moyal_kernel(f, g, r) == _uncapped_moyal(f, g, r)
+
+
+def test_moyal_kernel_against_constraint_takes_no_derivative(monkeypatch):
+    # J = p_n is linear, so M_r(f, J) vanishes for r >= 2 before any partial
+    calls = Counter()
+    partial = FlatPoly.partial
+
+    def counted(self, idx):
+        calls[idx] += 1
+        return partial(self, idx)
+
+    monkeypatch.setattr(FlatPoly, "partial", counted)
+    for dim in (2, 3):
+        f = (FlatPoly.q(1, dim) + FlatPoly.p(1, dim) + FlatPoly.q(dim, dim)
+             + FlatPoly.p(dim, dim)) ** 3
+        for r in range(2, 7):
+            assert moyal_kernel(f, FlatPoly.p(dim, dim), r).is_zero()
+    assert not calls
+    # the counter does see the partials that M_1 takes
+    assert not moyal_kernel(f, FlatPoly.p(dim, dim), 1).is_zero()
+    assert calls

@@ -367,6 +367,32 @@ def test_transfer_series_call_counts(setup):
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_ops_apply_call_counts(setup):
+    # every T_k applied to one input reads the same run of the forward
+    # substitution, so input a_j costs one run to order n - j
+    calls = Counter()
+
+    def kernel(f, g, r):
+        calls["kernel"] += 1
+        return setup.kernel(f, g, r)
+
+    def pij(f):
+        calls["pij"] += 1
+        return setup.pij(f)
+
+    counted = dataclasses.replace(setup, kernel=kernel, pij=pij)
+    base = sample_series(setup, 4)
+    a = LambdaSeries(tuple(base[m % 5].scale(m + 1) for m in range(9)))
+    for n in range(9):
+        calls.clear()
+        got = transfer_ops(counted, n).apply(a.truncated(n))
+        assert calls == Counter(
+            kernel=sum((n - j) * (n - j + 1) // 2 for j in range(n + 1)),
+            pij=sum(n - j for j in range(n + 1)))
+        assert got == transfer_series(setup, a.truncated(n))
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
 def test_star_elements_call_counts(setup):
     # f * g at order n needs M_0..M_n once each, and no kernel of a zero
     calls = Counter()
