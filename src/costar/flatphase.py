@@ -9,13 +9,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalar import (
-    AlgebraMismatchError,
     GaussianRational,
     I,
     LambdaSeries,
+    TermRing,
     _compositions,
     _multi_factorial,
-    _power,
 )
 
 ZERO = GaussianRational(0)
@@ -23,7 +22,7 @@ ONE = GaussianRational(1)
 HALF_I = I * Fraction(1, 2)
 
 
-class FlatPoly:
+class FlatPoly(TermRing):
     """Polynomial in (q1..qn, p1..pn) over GaussianRational.
 
     terms maps exponent vectors of length 2n (q exponents first) to nonzero
@@ -31,7 +30,7 @@ class FlatPoly:
     canonical and structural equality is function equality.
     """
 
-    __slots__ = ("dim", "terms", "_dcache")
+    __slots__ = ()
 
     def __init__(self, dim, terms=()):
         if dim < 1:
@@ -54,16 +53,8 @@ class FlatPoly:
         self._dcache = {}
 
     @staticmethod
-    def zero(dim):
-        return FlatPoly(dim)
-
-    @staticmethod
     def constant(c, dim):
         return FlatPoly(dim, {(0,) * (2 * dim): GaussianRational.of(c)})
-
-    @staticmethod
-    def one(dim):
-        return FlatPoly.constant(1, dim)
 
     @staticmethod
     def q(i, dim):
@@ -82,20 +73,11 @@ class FlatPoly:
         key[dim + i - 1] = 1
         return FlatPoly(dim, {tuple(key): ONE})
 
-    def _check(self, other):
-        if not isinstance(other, FlatPoly):
-            raise AlgebraMismatchError("expected a FlatPoly, got %r" % (other,))
-        if other.dim != self.dim:
-            raise AlgebraMismatchError(
-                "dimension mismatch: %d vs %d" % (self.dim, other.dim)
-            )
-
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = FlatPoly.constant(other, self.dim)
+        other = self._coerce(other)
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -106,18 +88,8 @@ class FlatPoly:
                 out[key] = s
         return FlatPoly(self.dim, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FlatPoly(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = FlatPoly.constant(other, self.dim)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -134,19 +106,11 @@ class FlatPoly:
                     out[key] = s
         return FlatPoly(self.dim, out)
 
-    def __rmul__(self, other):
-        return self * other
-
     def scale(self, c):
         c = GaussianRational.of(c)
         if c.is_zero():
             return FlatPoly.zero(self.dim)
         return FlatPoly(self.dim, {k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _power(self, n, FlatPoly.one(self.dim))
 
     def partial(self, idx):
         """Derivative by the 0-based coordinate index over (q1..qn, p1..pn)."""
@@ -176,19 +140,10 @@ class FlatPoly:
         return self.partial(self.dim + i - 1)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = FlatPoly.constant(other, self.dim)
+        other = self._coerce(other)
         if not isinstance(other, FlatPoly) or other.dim != self.dim:
             return NotImplemented
         return self.terms == other.terms
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        return "FlatPoly(%d, %r)" % (self.dim, self.sorted_terms())
 
 
 def poisson(f, g):

@@ -27,20 +27,21 @@ from fractions import Fraction
 from math import factorial
 
 from .scalar import (
-    AlgebraMismatchError,
     GaussianRational,
     I,
     LambdaSeries,
     PoleError,
     RadialRational,
+    TermRing,
     UPoly,
     _compositions,
     _multi_factorial,
-    _power,
 )
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+# side of a term key (alpha, beta): the z exponents, or the zbar exponents
+Z, ZBAR = 0, 1
 
 
 class ParityError(ValueError):
@@ -51,14 +52,11 @@ def _term_parity(key):
     return (sum(key[0]) + sum(key[1])) % 2
 
 
-def _multinomial(k, s):
-    n = factorial(k)
-    for e in s:
-        n //= factorial(e)
-    return n
+def _bump(exps, idx, step):
+    return exps[:idx] + (exps[idx] + step,) + exps[idx + 1:]
 
 
-class RadialFun:
+class RadialFun(TermRing):
     """Finite sum of terms z^alpha zbar^beta R(u) on C^dim.
 
     terms maps (alpha, beta) pairs of exponent tuples to nonzero
@@ -67,7 +65,7 @@ class RadialFun:
     sphere-aware operations prol/pij/restrict.
     """
 
-    __slots__ = ("dim", "terms", "_dcache", "_zcache")
+    __slots__ = ()
 
     def __init__(self, dim, terms=()):
         if dim < 1:
@@ -97,11 +95,6 @@ class RadialFun:
                 out[key] = r
         self.terms = out
         self._dcache = {}
-        self._zcache = None
-
-    @staticmethod
-    def zero(dim):
-        return RadialFun(dim)
 
     @staticmethod
     def from_radial(r, dim):
@@ -111,10 +104,6 @@ class RadialFun:
     @staticmethod
     def constant(c, dim):
         return RadialFun.from_radial(RadialRational.of(GaussianRational.of(c)), dim)
-
-    @staticmethod
-    def one(dim):
-        return RadialFun.constant(1, dim)
 
     @staticmethod
     def u(dim, power=1):
@@ -141,33 +130,14 @@ class RadialFun:
         dim = dim or len(alpha)
         return RadialFun(dim, {(alpha, beta): RadialRational.of(radial)})
 
-    def _check(self, other):
-        if not isinstance(other, RadialFun):
-            raise AlgebraMismatchError("expected a RadialFun, got %r" % (other,))
-        if other.dim != self.dim:
-            raise AlgebraMismatchError(
-                "dimension mismatch: %d vs %d" % (self.dim, other.dim)
-            )
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = RadialFun.constant(other, self.dim)
+        other = self._coerce(other)
         self._check(other)
         merged = list(self.terms.items()) + list(other.terms.items())
         return RadialFun(self.dim, merged)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RadialFun(self.dim, {k: -r for k, r in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = RadialFun.constant(other, self.dim)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -185,9 +155,6 @@ class RadialFun:
                 out.append((key, r1 * r2))
         return RadialFun(self.dim, out)
 
-    def __rmul__(self, other):
-        return self * other
-
     def scale(self, c):
         c = GaussianRational.of(c)
         if c.is_zero():
@@ -200,65 +167,53 @@ class RadialFun:
             return RadialFun.zero(self.dim)
         return RadialFun(self.dim, {k: v * r for k, v in self.terms.items()})
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, n, RadialFun.one(self.dim))
-
     def d_z(self, i):
         """Derivative by z^i (1-based); du/dz^i = zbar^i."""
-        return self._derivative("z", i - 1)
+        return self._derivative(Z, i - 1)
 
     def d_zbar(self, i):
-        return self._derivative("zb", i - 1)
+        return self._derivative(ZBAR, i - 1)
 
-    def _derivative(self, kind, idx):
+    def _derivative(self, side, idx):
+        # d/dzbar is d/dz with alpha and beta swapped: the monomial factor
+        # lowers the exponent on its own side, and R(u) raises the other
+        # side's, since du/dz^i = zbar^i
         if not 0 <= idx < self.dim:
             raise ValueError("coordinate index out of range")
-        cached = self._dcache.get((kind, idx))
+        cached = self._dcache.get((side, idx))
         if cached is not None:
             return cached
         out = []
-        for (alpha, beta), r in self.terms.items():
-            if kind == "z":
-                e = alpha[idx]
-                if e:
-                    na = alpha[:idx] + (e - 1,) + alpha[idx + 1:]
-                    out.append(((na, beta), r.scale(e)))
-                dr = r.derivative()
-                if not dr.is_zero():
-                    nb = beta[:idx] + (beta[idx] + 1,) + beta[idx + 1:]
-                    out.append(((alpha, nb), dr))
-            else:
-                e = beta[idx]
-                if e:
-                    nb = beta[:idx] + (e - 1,) + beta[idx + 1:]
-                    out.append(((alpha, nb), r.scale(e)))
-                dr = r.derivative()
-                if not dr.is_zero():
-                    na = alpha[:idx] + (alpha[idx] + 1,) + alpha[idx + 1:]
-                    out.append(((na, beta), dr))
+        for key, r in self.terms.items():
+            e = key[side][idx]
+            if e:
+                nk = list(key)
+                nk[side] = _bump(key[side], idx, -1)
+                out.append((nk, r.scale(e)))
+            dr = r.derivative()
+            if not dr.is_zero():
+                nk = list(key)
+                nk[1 - side] = _bump(key[1 - side], idx, 1)
+                out.append((nk, dr))
         res = RadialFun(self.dim, out)
-        self._dcache[(kind, idx)] = res
+        self._dcache[(side, idx)] = res
         return res
 
     def euler_e(self):
         """E = sum_i z^i d/dz^i; on a term: |alpha| R + u R'."""
-        u = RadialRational.u_power(1)
-        out = {}
-        for (alpha, beta), r in self.terms.items():
-            nr = r.scale(sum(alpha)) + u * r.derivative()
-            if not nr.is_zero():
-                out[(alpha, beta)] = nr
-        return RadialFun(self.dim, out)
+        return self._euler(Z)
 
     def euler_ebar(self):
+        """Ebar = sum_i zbar^i d/dzbar^i; on a term: |beta| R + u R'."""
+        return self._euler(ZBAR)
+
+    def _euler(self, side):
         u = RadialRational.u_power(1)
         out = {}
-        for (alpha, beta), r in self.terms.items():
-            nr = r.scale(sum(beta)) + u * r.derivative()
+        for key, r in self.terms.items():
+            nr = r.scale(sum(key[side])) + u * r.derivative()
             if not nr.is_zero():
-                out[(alpha, beta)] = nr
+                out[key] = nr
         return RadialFun(self.dim, out)
 
     def common_denominator(self):
@@ -286,7 +241,7 @@ class RadialFun:
                         tuple(x + y for x, y in zip(alpha, s)),
                         tuple(x + y for x, y in zip(beta, s)),
                     )
-                    v = cells.get(key, ZERO) + c * _multinomial(k, s)
+                    v = cells.get(key, ZERO) + c * (factorial(k) // _multi_factorial(s))
                     if v.is_zero():
                         cells.pop(key, None)
                     else:
@@ -301,15 +256,10 @@ class RadialFun:
         return RadialFun(dim, out)
 
     def is_zero(self):
-        if not self.terms:
-            return True
-        if self._zcache is None:
-            self._zcache = not self.expansion()[1]
-        return self._zcache
+        return not self.terms or not self.expansion()[1]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = RadialFun.constant(other, self.dim)
+        other = self._coerce(other)
         if not isinstance(other, RadialFun):
             return NotImplemented
         if other.dim != self.dim:
@@ -317,14 +267,6 @@ class RadialFun:
         if self.terms == other.terms:
             return True
         return (self - other).is_zero()
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __repr__(self):
-        return "RadialFun(%d, %r)" % (self.dim, self.sorted_terms())
 
 
 def scalar_ratio(x, y):
@@ -470,10 +412,10 @@ def wick_kernel(f, g, r):
         raise ValueError("kernel order must be nonnegative")
     acc = RadialFun.zero(f.dim)
     for s in _compositions(r, (r,) * f.dim):
-        df = _dz_multi(f, s, "z")
+        df = _dz_multi(f, s, Z)
         if not df.terms:
             continue
-        dg = _dz_multi(g, s, "zb")
+        dg = _dz_multi(g, s, ZBAR)
         if not dg.terms:
             continue
         c = Fraction(2 ** r, _multi_factorial(s))
@@ -481,11 +423,11 @@ def wick_kernel(f, g, r):
     return acc
 
 
-def _dz_multi(f, s, kind):
+def _dz_multi(f, s, side):
     out = f
     for i, e in enumerate(s):
         for _ in range(e):
-            out = out._derivative(kind, i)
+            out = out._derivative(side, i)
             if not out.terms:
                 return out
     return out

@@ -1,5 +1,6 @@
 """Exact scalar layer: Gaussian rationals, rational functions of the radius
-variable u, and truncated formal series in the deformation parameter.
+variable u, truncated formal series in the deformation parameter, and the
+ring skeleton the phase-space algebras share.
 
 Everything here is exact.  There are no floats anywhere in the engine; all
 higher layers (phase-space algebras, products, coefficient tables) reduce to
@@ -41,6 +42,68 @@ def _power(base, n, one):
         if n:
             base = base * base
     return out
+
+
+class TermRing:
+    """Ring skeleton shared by the phase-space algebras FlatPoly and RadialFun.
+
+    An element lives on a phase space of dimension dim and is stored as the
+    dict terms; _dcache memoises its first derivatives.  A subclass supplies
+    __init__(dim, terms), constant(c, dim), __add__, __neg__, __mul__, scale,
+    is_zero and __eq__; the rest of the ring is built here from those.
+    """
+
+    __slots__ = ("dim", "terms", "_dcache")
+
+    @classmethod
+    def zero(cls, dim):
+        return cls(dim)
+
+    @classmethod
+    def one(cls, dim):
+        return cls.constant(1, dim)
+
+    def _coerce(self, other):
+        # a bare scalar stands for the constant function
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self.constant(other, self.dim)
+        return other
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise AlgebraMismatchError(
+                "expected a %s, got %r" % (type(self).__name__, other)
+            )
+        if other.dim != self.dim:
+            raise AlgebraMismatchError(
+                "dimension mismatch: %d vs %d" % (self.dim, other.dim)
+            )
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        return _power(self, n, self.one(self.dim))
+
+    def sorted_terms(self):
+        # keys are unique, so the sort never compares two values
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        return "%s(%d, %r)" % (type(self).__name__, self.dim, self.sorted_terms())
+
+    __hash__ = None
 
 
 def _compositions(total, caps):
@@ -552,14 +615,6 @@ class RadialRational:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_constant(self):
-        return self.num.degree() <= 0 and self.den.degree() == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("rational function of u is not constant")
-        return self.num.eval(0)
-
     def __add__(self, other):
         other = RadialRational.of(other)
         if self.den == other.den:
@@ -752,10 +807,6 @@ class LambdaSeries:
                 acc = acc + self[k] * other[m - k]
             out.append(acc)
         return LambdaSeries(tuple(out))
-
-    def scale(self, c):
-        return LambdaSeries(tuple(x.scale(c) if hasattr(x, "scale") else x * c
-                                  for x in self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):

@@ -14,6 +14,7 @@ from costar.flatphase import (
     poisson,
     prol,
 )
+from costar.radialphase import RadialFun
 from costar.reduction import flat_setup
 from costar.scalar import AlgebraMismatchError, GaussianRational, I
 
@@ -46,8 +47,24 @@ def test_ring_ops():
 
 
 def test_dimension_mismatch():
+    # the ring skeleton FlatPoly and RadialFun share, run on both
     with pytest.raises(AlgebraMismatchError):
-        q(1, 2) + q(1, 3)
+        q(1, 2) + RadialFun.z(1, 2)
+    with pytest.raises(AlgebraMismatchError):
+        RadialFun.z(1, 2) + q(1, 2)
+    for gen in (FlatPoly.q, RadialFun.z):
+        f = gen(1, 2)
+        two = type(f).constant(2, 2)
+        with pytest.raises(AlgebraMismatchError):
+            f + gen(1, 3)
+        assert 2 - f == two + (-f)
+        assert f - 2 == f + (-two)
+        assert 0 + f == f
+        assert 2 * f == f.scale(2)
+        with pytest.raises(ValueError):
+            f ** -1
+        with pytest.raises(ValueError):
+            f ** 1.5
 
 
 def test_partial_derivatives():

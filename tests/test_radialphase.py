@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from costar.radialphase import (
     ParityError,
@@ -39,6 +39,12 @@ def radial_polys():
                      st.lists(st.integers(-2, 2), max_size=3))
 
 
+def radial_rationals():
+    dens = st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any)
+    return st.builds(lambda cs, ds: RadialRational(UPoly(cs), UPoly(ds)),
+                     st.lists(st.integers(-2, 2), max_size=3), dens)
+
+
 EVEN_KEYS_2 = [
     ((0, 0), (0, 0)),
     ((1, 0), (1, 0)),
@@ -55,12 +61,17 @@ ANY_KEYS_2 = EVEN_KEYS_2 + [
 ]
 
 
-def funs(keys, dim=2, max_terms=3):
+def funs(keys, dim=2, max_terms=3, radials=radial_polys):
     pairs = st.lists(
-        st.tuples(st.sampled_from(keys), radial_polys()),
+        st.tuples(st.sampled_from(keys), radials()),
         max_size=max_terms,
     )
     return pairs.map(lambda ps: RadialFun(dim, ps))
+
+
+def swap(f):
+    # exchange alpha and beta in every term, keeping the radial parts
+    return RadialFun(f.dim, {(b, a): r for (a, b), r in f.terms.items()})
 
 
 def star_series(fs, gs, order):
@@ -138,6 +149,14 @@ def test_euler_operators():
         (RadialFun.z(1, 2) * RadialFun.zbar(1, 2) * u).scale(2)
 
 
+@settings(max_examples=200)
+@given(funs(ANY_KEYS_2, radials=radial_rationals), st.sampled_from([1, 2]))
+def test_zbar_operations_mirror_z(f, i):
+    # d/dzbar and Ebar are d/dz and E with alpha and beta swapped
+    assert swap(f).d_z(i) == swap(f.d_zbar(i))
+    assert swap(f).euler_e() == swap(f.euler_ebar())
+
+
 def test_is_homogeneous():
     f = RadialFun.monomial((1, 0), (1, 0), radial=RadialRational.u_power(-1))
     assert is_homogeneous(f)
@@ -151,6 +170,7 @@ def test_poisson_canonical_pair():
     assert poisson(zb, z) == RadialFun.constant(I * 2, 2)
 
 
+@settings(max_examples=200)
 @given(funs(ANY_KEYS_2), funs(ANY_KEYS_2), funs(ANY_KEYS_2))
 def test_poisson_laws(f, g, h):
     zero = RadialFun.zero(2)
