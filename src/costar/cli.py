@@ -7,8 +7,9 @@ Subcommands:
   obstruct  order-2 comparison of the two reduced products on the sphere
   verify    randomized self-checks of the core identities
 
-Expressions use q<i>/p<i> in flat mode and z<i>/zb<i>/u in the radial
-modes, plus integers, I, + - * / ^ and parentheses.  Division and negative
+Expressions use the coordinate names VOCABULARY gives each algebra, and u
+in the radial modes, plus integers, I, + - * / ^ and parentheses.  The
+printer and the JSON encoder read the same table.  Division and negative
 exponents are restricted to scalar or purely radial quantities, which keeps
 every expression inside the implemented algebras.  All output is
 deterministic: terms are sorted, scalars print exactly, and JSON payloads
@@ -70,6 +71,13 @@ from .scalar import (
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 MODES = ("flat", "radial-linear", "radial-quadratic")
+# For each algebra, the coordinate letter and constructor of the two halves
+# (alpha, beta) of a term key; the parser, printer and JSON encoder all
+# take their vocabulary from here
+VOCABULARY = {
+    FlatPoly: (("q", FlatPoly.q), ("p", FlatPoly.p)),
+    RadialFun: (("z", RadialFun.z), ("zb", RadialFun.zbar)),
+}
 # deepest parenthesis nesting an expression may use; each level costs the
 # parser a handful of stack frames, so this keeps it far from the
 # interpreter's recursion limit
@@ -128,8 +136,12 @@ class _Parser:
         self.toks = tokenize(text)
         self.i = 0
         self.depth = 0
-        self.flat = mode == "flat"
         self.dim = dim
+        self.radial = mode != "flat"
+        self.algebra = RadialFun if self.radial else FlatPoly
+        self.makers = dict(VOCABULARY[self.algebra])
+        # the key under which the algebra stores a constant
+        (self.unit_key,) = self.constant(1).terms
 
     def peek(self):
         return self.toks[self.i]
@@ -204,10 +216,8 @@ class _Parser:
         return base
 
     def size(self, value):
-        if self.flat:
-            return len(value.terms)
         return sum(len(r.num.coeffs) + len(r.den.coeffs) - 1
-                   for r in value.terms.values())
+                   for _, _, r in term_view(value))
 
     def check_size(self, bound, pos):
         if bound > MAX_TERMS:
@@ -234,55 +244,35 @@ class _Parser:
         raise ParseError("expected a value, found %r" % (text or "end of input"), pos)
 
     def constant(self, c):
-        if self.flat:
-            return FlatPoly.constant(c, self.dim)
-        return RadialFun.constant(c, self.dim)
+        return self.algebra.constant(c, self.dim)
 
     def name(self, text, pos):
         if text == "I":
             return self.constant(I)
-        if self.flat:
-            m = re.fullmatch(r"([qp])(\d+)", text)
-            if m is None:
-                raise ParseError(
-                    "unknown name %r in flat mode (expected q<i>, p<i>, I)" % text, pos
-                )
-            i = int(m.group(2))
-            if not 1 <= i <= self.dim:
-                raise ParseError(
-                    "coordinate index %d out of range 1..%d" % (i, self.dim), pos
-                )
-            make = FlatPoly.q if m.group(1) == "q" else FlatPoly.p
-            return make(i, self.dim)
-        if text == "u":
+        if text == "u" and self.radial:
             return RadialFun.u(self.dim)
-        m = re.fullmatch(r"(zb|z)(\d+)", text)
-        if m is None:
-            raise ParseError(
-                "unknown name %r in radial mode (expected z<i>, zb<i>, u, I)" % text,
-                pos,
-            )
+        m = re.fullmatch(r"([A-Za-z]+)(\d+)", text)
+        make = m and self.makers.get(m.group(1))
+        if not make:
+            names = ["%s<i>" % letter for letter in self.makers]
+            names += ["u", "I"] if self.radial else ["I"]
+            raise ParseError("unknown name %r in %s mode (expected %s)" % (
+                text, "radial" if self.radial else "flat", ", ".join(names)), pos)
         i = int(m.group(2))
         if not 1 <= i <= self.dim:
             raise ParseError(
                 "coordinate index %d out of range 1..%d" % (i, self.dim), pos
             )
-        make = RadialFun.zbar if m.group(1) == "zb" else RadialFun.z
         return make(i, self.dim)
 
     def inverse(self, value, pos):
         if value.is_zero():
             raise ParseError("division by zero", pos)
-        if self.flat:
-            zero_key = (0,) * (2 * self.dim)
-            if set(value.terms) == {zero_key}:
-                return FlatPoly.constant(ONE / value.terms[zero_key], self.dim)
-            raise ParseError("flat division needs a scalar divisor", pos)
-        zero_key = ((0,) * self.dim, (0,) * self.dim)
-        if set(value.terms) == {zero_key}:
-            r = value.terms[zero_key]
-            return RadialFun.from_radial(RadialRational(r.den, r.num), self.dim)
-        raise ParseError("division needs a scalar or purely radial divisor", pos)
+        if set(value.terms) != {self.unit_key}:
+            raise ParseError("division needs a scalar or purely radial divisor"
+                             if self.radial else
+                             "flat division needs a scalar divisor", pos)
+        return self.algebra(self.dim, {self.unit_key: 1 / value.terms[self.unit_key]})
 
 
 def parse_expression(text, mode, dim):
@@ -291,6 +281,22 @@ def parse_expression(text, mode, dim):
 
 # ---------------------------------------------------------------------------
 # deterministic, re-parseable printing
+
+
+def term_view(f):
+    """Yield the terms of a FlatPoly or RadialFun in sorted order, each as
+    (alpha, beta, RadialRational part).
+
+    A flat key holds its alpha half and then its beta half, and a flat
+    coefficient is read as the constant function of u it equals.
+    """
+    if isinstance(f, FlatPoly):
+        n = f.dim
+        for key, c in f.sorted_terms():
+            yield key[:n], key[n:], RadialRational.of(c)
+    else:
+        for (alpha, beta), r in f.sorted_terms():
+            yield alpha, beta, r
 
 
 def _join_sum(parts):
@@ -303,24 +309,26 @@ def _join_sum(parts):
     return out
 
 
+def _u_power(k):
+    return "u" if k == 1 else "u^%d" % k
+
+
+def _scaled(c, body):
+    if c == ONE:
+        return body
+    if c == MINUS_ONE:
+        return "-" + body
+    return "%s*%s" % (scalar_text(c), body)
+
+
 def upoly_text(poly):
     if poly.is_zero():
         return "0"
     parts = []
     for k in range(poly.degree(), -1, -1):
         c = poly.coeffs[k]
-        if c.is_zero():
-            continue
-        if k == 0:
-            parts.append(scalar_text(c))
-            continue
-        base = "u" if k == 1 else "u^%d" % k
-        if c == ONE:
-            parts.append(base)
-        elif c == MINUS_ONE:
-            parts.append("-" + base)
-        else:
-            parts.append("%s*%s" % (scalar_text(c), base))
+        if not c.is_zero():
+            parts.append(_scaled(c, _u_power(k)) if k else scalar_text(c))
     return _join_sum(parts)
 
 
@@ -328,41 +336,23 @@ def _monomial_entries(poly):
     return [(k, c) for k, c in enumerate(poly.coeffs) if not c.is_zero()]
 
 
-def _radial_factor(r):
-    """Split a radial coefficient into (scalar, factor texts, denominator)."""
+def _term_text(factors, r):
+    """One term: the coordinate factors times the radial part r."""
     coeff = ONE
-    factors = []
     entries = _monomial_entries(r.num)
     if len(entries) == 1:
         k, coeff = entries[0]
         if k:
-            factors.append("u" if k == 1 else "u^%d" % k)
+            factors.append(_u_power(k))
     else:
         factors.append("(%s)" % upoly_text(r.num))
-    den = None
+    text = _scaled(coeff, "*".join(factors)) if factors else scalar_text(coeff)
     if r.den.degree() > 0:
         entries = _monomial_entries(r.den)
         if len(entries) == 1 and entries[0][1] == ONE:
-            k = entries[0][0]
-            den = "u" if k == 1 else "u^%d" % k
+            text += "/" + _u_power(entries[0][0])
         else:
-            den = "(%s)" % upoly_text(r.den)
-    return coeff, factors, den
-
-
-def _term_text(coeff, factors, den=None):
-    if factors:
-        body = "*".join(factors)
-        if coeff == ONE:
-            text = body
-        elif coeff == MINUS_ONE:
-            text = "-" + body
-        else:
-            text = "%s*%s" % (scalar_text(coeff), body)
-    else:
-        text = scalar_text(coeff)
-    if den:
-        text += "/" + den
+            text += "/(%s)" % upoly_text(r.den)
     return text
 
 
@@ -376,30 +366,19 @@ def _coordinate_factors(exps, letter):
     return out
 
 
-def radial_text(f):
-    if f.is_zero():
-        return "0"
-    parts = []
-    for (alpha, beta), r in f.sorted_terms():
-        coeff, factors, den = _radial_factor(r)
-        coords = _coordinate_factors(alpha, "z") + _coordinate_factors(beta, "zb")
-        parts.append(_term_text(coeff, coords + factors, den))
-    return _join_sum(parts)
-
-
-def flat_text(f):
-    if f.is_zero():
-        return "0"
-    n = f.dim
-    parts = []
-    for key, c in f.sorted_terms():
-        coords = _coordinate_factors(key[:n], "q") + _coordinate_factors(key[n:], "p")
-        parts.append(_term_text(c, coords))
-    return _join_sum(parts)
-
-
 def fun_text(f):
-    return flat_text(f) if isinstance(f, FlatPoly) else radial_text(f)
+    """Re-parseable text of a FlatPoly or RadialFun."""
+    # a RadialFun's stored terms can sum to zero (z1*zb1 + z2*zb2 - u)
+    if f.is_zero():
+        return "0"
+    (a, _), (b, _) = VOCABULARY[type(f)]
+    return _join_sum([
+        _term_text(_coordinate_factors(alpha, a) + _coordinate_factors(beta, b), r)
+        for alpha, beta, r in term_view(f)
+    ])
+
+
+flat_text = radial_text = fun_text
 
 
 def series_lines(series):
@@ -421,25 +400,11 @@ def upoly_json(poly):
 
 
 def coeff_json(f):
-    terms = []
-    if isinstance(f, FlatPoly):
-        n = f.dim
-        for key, c in f.sorted_terms():
-            terms.append({
-                "alpha": list(key[:n]),
-                "beta": list(key[n:]),
-                "num": [scalar_json(c)],
-                "den": [scalar_json(1)],
-            })
-    else:
-        for (alpha, beta), r in f.sorted_terms():
-            terms.append({
-                "alpha": list(alpha),
-                "beta": list(beta),
-                "num": upoly_json(r.num),
-                "den": upoly_json(r.den),
-            })
-    return {"terms": terms}
+    return {"terms": [
+        {"alpha": list(alpha), "beta": list(beta),
+         "num": upoly_json(r.num), "den": upoly_json(r.den)}
+        for alpha, beta, r in term_view(f)
+    ]}
 
 
 def series_json(series):
@@ -502,32 +467,27 @@ def _config(ns):
     return RunConfig(mode=ns.mode, dim=ns.dim, order=ns.order, mu=ns.mu)
 
 
-def cmd_star(ns):
-    cfg = _config(ns)
-    f, g = cfg.parse(ns.f), cfg.parse(ns.g)
-    if cfg.mode == "flat":
-        series = moyal_product(f, g, cfg.order)
-    else:
-        series = wick_product(f, g, cfg.order)
+def _emit_series(ns, series):
     if ns.json:
         _emit_json(series_json(series))
     else:
         for line in series_lines(series):
             print(line)
     return 0
+
+
+def cmd_star(ns):
+    cfg = _config(ns)
+    f, g = cfg.parse(ns.f), cfg.parse(ns.g)
+    product = moyal_product if cfg.mode == "flat" else wick_product
+    return _emit_series(ns, product(f, g, cfg.order))
 
 
 def cmd_reduce(ns):
     cfg = _config(ns)
     setup = cfg.setup()
     f, g = cfg.parse(ns.f), cfg.parse(ns.g)
-    series = reduce_star(setup, f, g, cfg.order)
-    if ns.json:
-        _emit_json(series_json(series))
-    else:
-        for line in series_lines(series):
-            print(line)
-    return 0
+    return _emit_series(ns, reduce_star(setup, f, g, cfg.order))
 
 
 def cmd_coeffs(ns):

@@ -214,16 +214,26 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._a or self._b)
 
+    # The binary operators return NotImplemented for an operand that is not
+    # an int, Fraction or GaussianRational, so that I + f, I - f and I * f
+    # reach the reflected operator of a phase-space element f.
+
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = _of(other)
+            try:
+                other = _of(other)
+            except TypeError:
+                return NotImplemented
         return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            other = _of(other)
+            try:
+                other = _of(other)
+            except TypeError:
+                return NotImplemented
         return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
@@ -234,7 +244,10 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = _of(other)
+            try:
+                other = _of(other)
+            except TypeError:
+                return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if b or e:
@@ -247,7 +260,10 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            other = _of(other)
+            try:
+                other = _of(other)
+            except TypeError:
+                return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not e:
@@ -664,7 +680,15 @@ class RadialRational:
         return RadialRational._raw(a.num * b.num, a.den * b.den)
 
     def __rtruediv__(self, other):
-        return RadialRational.of(other) / self
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        # den/num is already reduced; it only needs a monic denominator
+        num, den = self.den, self.num
+        lc = den.lead()
+        if lc != ONE:
+            num, den = num.scale(ONE / lc), den.monic()
+        inv = RadialRational._raw(num, den)
+        return inv if other == 1 else RadialRational.of(other) * inv
 
     def scale(self, c):
         c = GaussianRational.of(c)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import costar.cli as cli
 from costar.cli import (
@@ -52,15 +55,33 @@ def test_parse_flat_examples():
     assert parse_expression("-q1^2", "flat", 1) == -(FlatPoly.q(1, 1) ** 2)
 
 
+def _parse_error(text, mode, dim=2):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, mode, dim)
+    return err.value.msg, err.value.pos
+
+
+FLAT_NAMES = "(expected q<i>, p<i>, I)"
+RADIAL_NAMES = "(expected z<i>, zb<i>, u, I)"
+
+
 def test_parse_mode_gating():
-    with pytest.raises(ParseError, match="flat mode"):
-        parse_expression("z1", "flat", 2)
-    with pytest.raises(ParseError, match="radial mode"):
-        parse_expression("q1", "radial-linear", 2)
-    with pytest.raises(ParseError, match="out of range"):
-        parse_expression("z3", "radial-linear", 2)
-    with pytest.raises(ParseError, match="out of range"):
-        parse_expression("q0", "flat", 2)
+    for mode in ("radial-linear", "radial-quadratic"):
+        assert _parse_error("q1", mode) == \
+            ("unknown name 'q1' in radial mode " + RADIAL_NAMES, 0)
+        assert _parse_error("z1 + zz1", mode) == \
+            ("unknown name 'zz1' in radial mode " + RADIAL_NAMES, 5)
+        assert _parse_error("z3", mode) == \
+            ("coordinate index 3 out of range 1..2", 0)
+        assert _parse_error("2*zb0", mode) == \
+            ("coordinate index 0 out of range 1..2", 2)
+    assert _parse_error("z1", "flat") == \
+        ("unknown name 'z1' in flat mode " + FLAT_NAMES, 0)
+    assert _parse_error("q1*u", "flat") == \
+        ("unknown name 'u' in flat mode " + FLAT_NAMES, 3)
+    assert _parse_error("q0", "flat") == ("coordinate index 0 out of range 1..2", 0)
+    assert _parse_error("p1 - p3", "flat") == \
+        ("coordinate index 3 out of range 1..2", 5)
 
 
 def test_parse_error_positions_and_divisors():
@@ -71,12 +92,22 @@ def test_parse_error_positions_and_divisors():
         parse_expression("z1 +", "radial-linear", 2)
     with pytest.raises(ParseError, match="exponent"):
         parse_expression("u^x", "radial-linear", 2)
-    with pytest.raises(ParseError, match="radial divisor"):
-        parse_expression("1/(z1 + zb1)", "radial-linear", 2)
-    with pytest.raises(ParseError, match="division by zero"):
-        parse_expression("1/0", "radial-linear", 2)
-    with pytest.raises(ParseError, match="scalar divisor"):
-        parse_expression("1/q1", "flat", 2)
+    radial_divisor = "division needs a scalar or purely radial divisor"
+    assert _parse_error("1/(z1 + zb1)", "radial-linear") == (radial_divisor, 1)
+    assert _parse_error("u*z1^-1", "radial-quadratic") == (radial_divisor, 4)
+    assert _parse_error("1/0", "radial-linear") == ("division by zero", 1)
+    assert _parse_error("z1/(z1*zb1 + z2*zb2 - u)", "radial-linear") == \
+        ("division by zero", 2)
+    flat_divisor = "flat division needs a scalar divisor"
+    assert _parse_error("1/q1", "flat") == (flat_divisor, 1)
+    assert _parse_error("(q1 + 1)^-2", "flat") == (flat_divisor, 8)
+    assert _parse_error("q1/(2 - 2)", "flat") == ("division by zero", 2)
+    assert _parse_error("p1^-1", "flat", 1) == (flat_divisor, 2)
+    # a scalar or radial divisor is inverted exactly
+    assert parse_expression("q1/(2 + I)", "flat", 1) == \
+        FlatPoly.q(1, 1).scale(GaussianRational(Fraction(2, 5), Fraction(-1, 5)))
+    assert parse_expression("(u + 1)^-2*(u^2 + 2*u + 1)", "radial-linear", 1) == \
+        RadialFun.one(1)
 
 
 ROUNDTRIP_RADIAL = [
@@ -108,6 +139,102 @@ ROUNDTRIP_FLAT = [
 @pytest.mark.parametrize("f", ROUNDTRIP_FLAT)
 def test_flat_text_round_trip(f):
     assert parse_expression(flat_text(f), "flat", f.dim) == f
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
+u_polys = st.lists(gaussians, min_size=1, max_size=3).map(UPoly)
+
+
+@st.composite
+def radial_parts(draw):
+    # u^a times a polynomial with complex coefficients, so the reduced
+    # denominator is often not a power of u
+    den = UPoly.u(draw(st.integers(0, 2))) * draw(u_polys)
+    return RadialRational(draw(u_polys), den if not den.is_zero() else 1)
+
+
+@st.composite
+def algebra_elements(draw):
+    dim = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(exps, exps, gaussians), max_size=4))
+        return FlatPoly(dim, [(a + b, c) for a, b, c in terms]), "flat"
+    terms = draw(st.lists(st.tuples(exps, exps, radial_parts()), max_size=4))
+    mode = draw(st.sampled_from(["radial-linear", "radial-quadratic"]))
+    return RadialFun(dim, [((a, b), r) for a, b, r in terms]), mode
+
+
+def _schema_json(f):
+    """The JSON terms of f as README spells them, built without cli."""
+    def scalar(c):
+        return {"re": str(c.re), "im": str(c.im)}
+
+    terms = []
+    for key, c in sorted(f.terms.items()):
+        if isinstance(f, FlatPoly):
+            alpha, beta = key[:f.dim], key[f.dim:]
+            num, den = [scalar(c)], [scalar(GaussianRational(1))]
+        else:
+            (alpha, beta), num, den = key, c.num.coeffs, c.den.coeffs
+            num, den = [scalar(x) for x in num], [scalar(x) for x in den]
+        terms.append({"alpha": list(alpha), "beta": list(beta),
+                      "num": num, "den": den})
+    return {"terms": terms}
+
+
+@settings(max_examples=200)
+@given(algebra_elements())
+def test_printer_round_trip_and_json_schema(case):
+    f, mode = case
+    text = cli.fun_text(f)
+    g = parse_expression(text, mode, f.dim)
+    assert g == f
+    if not f.is_zero():
+        assert g.terms == f.terms
+    assert cli.coeff_json(f) == _schema_json(f)
+
+
+FUZZ_NAMES = ["q1", "p1", "q2", "p2", "q3", "q0", "z1", "zb1", "z2", "zb2",
+              "zb3", "z0", "u", "I", "w", "zz1"]
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/"]),
+                  children).map(lambda t: "%s %s %s" % t),
+        children.map(lambda e: "(%s)" % e),
+        children.map(lambda e: "-" + e),
+        st.tuples(children, st.sampled_from(["2", "3", "-1", "-2"]))
+        .map(lambda t: "(%s)^%s" % t),
+    )
+
+
+fuzz_exprs = st.recursive(
+    st.one_of(st.sampled_from(FUZZ_NAMES), st.integers(0, 3).map(str)),
+    _compound, max_leaves=5)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["star", "reduce"]), st.sampled_from(cli.MODES),
+       st.integers(1, 2), st.integers(0, 2), fuzz_exprs, fuzz_exprs)
+def test_main_fuzz_over_expression_grammar(command, mode, dim, order, f, g):
+    argv = [command, "--mode", mode, "--dim", str(dim), "--order", str(order),
+            "--", f, g]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("costar:") and not out.getvalue()
+        return
+    assert code == 0 and not err.getvalue()
+    lines = out.getvalue().splitlines()
+    assert len(lines) == order + 1
+    for k, line in enumerate(lines):
+        label, body = line.split(": ", 1)
+        assert label == "order %d" % k
+        assert cli.fun_text(parse_expression(body, mode, dim)) == body
 
 
 def _run(capsys, argv):

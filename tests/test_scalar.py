@@ -36,6 +36,27 @@ def test_gaussian_division_by_zero():
         GaussianRational(1) / GaussianRational(0)
 
 
+@pytest.mark.parametrize("mode", ["flat", "radial-linear"])
+def test_gaussian_on_the_left_of_an_algebra_element(mode):
+    # the scalar's operators hand an algebra element to its reflected ones
+    f = parse_expression("I*%s1 + 2" % ("q" if mode == "flat" else "z"), mode, 2)
+    c = GaussianRational(Fraction(1, 2), -3)
+    assert I + f == f + I
+    assert I - f == -(f - I)
+    assert I * f == f.scale(I)
+    assert c * f == f * c
+    acc = c
+    acc += f
+    assert acc == f + c
+    with pytest.raises(TypeError, match="unsupported operand"):
+        I / f
+    with pytest.raises(TypeError):
+        GaussianRational(1) + "x"
+    with pytest.raises(TypeError):
+        "x" * GaussianRational(1)
+
+
+
 def test_gaussian_hash_agrees_with_equality():
     # a real value equals, and so must hash like, the int or Fraction it is
     assert len({GaussianRational(1), 1}) == 1
@@ -303,6 +324,13 @@ def test_derivative_matches_quotient_rule(f):
     # canonical without the constructor: coprime parts, monic denominator
     assert _ref_gcd(got.num.coeffs, got.den.coeffs) == [GaussianRational(1)]
     assert got.den.lead() == 1
+
+
+@given(radial_rationals().filter(lambda r: not r.is_zero()), gaussians)
+def test_radial_reciprocal_matches_constructor(r, c):
+    # the reciprocal swaps the reduced parts without a gcd
+    assert 1 / r == RadialRational(r.den, r.num)
+    assert c / r == RadialRational.of(c) * RadialRational(r.den, r.num)
 
 
 @pytest.mark.parametrize("x", [
