@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Mutation smoke test: do the tests catch small faults in the engine?
+
+Copies src/ to a temporary directory, applies one mutant from MUTANTS at
+a time to the copy, and runs the tests named for that mutant against it.
+A mutant is killed when those tests fail.  Prints one line per mutant and
+then the survivors; exits 1 when a mutant survives or no longer applies
+(its source text is gone or no longer unique), and 0 otherwise.
+
+    python3 scripts/mutants.py
+
+Each mutant changes one line.  Its source text may carry a neighbouring
+line as context, so that the text occurs exactly once in its file.  The
+script is standard library only; the tests need pytest and hypothesis.
+Hypothesis runs with a fixed seed and a fresh example database, so a run
+is repeatable.  It takes about two minutes on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds for the tests of one mutant
+
+FLAT = "costar/flatphase.py"
+RADIAL = "costar/radialphase.py"
+SCALAR = "costar/scalar.py"
+REDUCTION = "costar/reduction.py"
+CPN = "costar/cpn.py"
+
+T_MOYAL = "tests/test_flatphase.py::test_moyal_kernel_matches_uncapped_sum"
+T_WICK = "tests/test_radialphase.py::test_wick_kernel_matches_uncapped_sum"
+T_MIRROR = "tests/test_radialphase.py::test_zbar_operations_mirror_z"
+T_DERIV = "tests/test_radialphase.py::test_derivatives"
+T_RING = "tests/test_flatphase.py::test_ring_ops"
+T_STAR_CALLS = "tests/test_reduction.py::test_star_elements_call_counts"
+T_NEUMANN = "tests/test_reduction.py::test_operator_series_inversion_neumann"
+T_GCD = "tests/test_scalar.py::test_gcd_with_monomial_matches_euclid"
+T_EXACT = "tests/test_scalar.py::test_exact_div_by_monomial_rejects_a_remainder"
+T_DIVMOD = "tests/test_scalar.py::test_upoly_divmod_and_gcd"
+T_QUAD = "tests/test_cpn.py::test_quadratic_table_frozen_values"
+T_CELLS = "tests/test_cpn.py::test_b_coeff_engine_reads_table_cells"
+
+# (name, file under src/, source text, mutated text, tests that must fail)
+MUTANTS = [
+    # the shared kernel loop, the term merge and the series builder
+    ("kernel cap off by one", SCALAR,
+     "hi = min(left, caps[p])",
+     "hi = min(left, caps[p] - 1)",
+     [T_MOYAL, T_WICK]),
+    ("kernel parity sign dropped", SCALAR,
+     "d, e, s = pairs[p]",
+     "(d, e, _), s = pairs[p], 1",
+     [T_MOYAL]),
+    ("kernel factorial dropped", SCALAR,
+     "yield s ** k, factorial(k), dfk, dgk",
+     "yield s ** k, 1, dfk, dgk",
+     [T_MOYAL, T_WICK]),
+    ("kernel f and g directions swapped", SCALAR,
+     "zip(_derivative_chain(dg, e, hi), _derivative_chain(df, d, hi))",
+     "zip(_derivative_chain(dg, d, hi), _derivative_chain(df, e, hi))",
+     [T_MOYAL, T_WICK]),
+    ("merge keeps zero sums", SCALAR,
+     "        c = s + c\n    if c.is_zero():",
+     "        c = s + c\n    if False:",
+     [T_RING]),
+    ("series builder drops the top order", SCALAR,
+     "return LambdaSeries(tuple(kernel(f, g, r) for r in range(order + 1)))",
+     "return LambdaSeries(tuple(kernel(f, g, r) for r in range(order)))",
+     [T_STAR_CALLS]),
+    # the per-algebra kernel data
+    ("moyal t caps lowered by one", FLAT,
+     "+ tuple(map(min, fdeg[n:], gdeg[:n]))",
+     "+ tuple(max(0, min(a, b) - 1) for a, b in zip(fdeg[n:], gdeg[:n]))",
+     [T_MOYAL]),
+    ("moyal pairing signs equal", FLAT,
+     "+ tuple((d[n + i], d[i], -1) for i in range(n)))",
+     "+ tuple((d[n + i], d[i], 1) for i in range(n)))",
+     [T_MOYAL]),
+    # radial derivatives and Euler operators
+    ("derivative reads key[0] for key[side]", RADIAL,
+     "e = key[side][idx]",
+     "e = key[0][idx]",
+     [T_MIRROR]),
+    ("euler reads key[0] for key[side]", RADIAL,
+     "nr = r.scale(sum(key[side])) + u * r.derivative()",
+     "nr = r.scale(sum(key[0])) + u * r.derivative()",
+     [T_MIRROR]),
+    ("R' raises its own side", RADIAL,
+     "nk[1 - side] = _bump(key[1 - side], idx, 1)",
+     "nk[side] = _bump(key[side], idx, 1)",
+     [T_DERIV]),
+    ("derivative drops the factor e", RADIAL,
+     "out.append((nk, r.scale(e)))",
+     "out.append((nk, r))",
+     [T_DERIV]),
+    # forward substitution
+    ("apply_inverse adds for subtracts", REDUCTION,
+     "acc = acc - self.ops[k](h[m - k])",
+     "acc = acc + self.ops[k](h[m - k])",
+     [T_NEUMANN]),
+    # polynomials in u
+    ("u^k gcd takes max for min", SCALAR,
+     "return UPoly.u(min(va, vb))",
+     "return UPoly.u(max(va, vb))",
+     [T_GCD]),
+    ("exact_div skips its remainder check", SCALAR,
+     "q, r = self.divmod(other)\n        if not r.is_zero():",
+     "q, r = self.divmod(other)\n        if False:",
+     [T_DIVMOD, T_EXACT]),
+    ("valuation off by one", SCALAR,
+     "            if c:\n                return k\n",
+     "            if c:\n                return k + 1\n",
+     [T_GCD, T_EXACT]),
+    # the quadratic coefficient table
+    ("quadratic row drops R", CPN,
+     "after = p(h) if before is None else p(h) + r(before)",
+     "after = p(h)",
+     [T_QUAD]),
+    ("quadratic row swaps the letters", CPN,
+     "after = p(h) if before is None else p(h) + r(before)",
+     "after = r(h) if before is None else r(h) + p(before)",
+     [T_QUAD]),
+    ("table cell read off by one", CPN,
+     "return _quadratic_row(k, l + 1, mu)[l]",
+     "return _quadratic_row(k, l + 2, mu)[l + 1]",
+     [T_CELLS]),
+]
+
+
+def apply_mutant(src, path, old, new):
+    """Replace the one occurrence of old in src/path; False if it is not one."""
+    target = Path(src) / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        return False
+    target.write_text(text.replace(old, new))
+    return True
+
+
+def run_tests(src, tests, workdir):
+    """True when every named test passes against the costar package in src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants"]
+    # the working directory holds hypothesis's example database
+    try:
+        done = subprocess.run(cmd + [str(ROOT / t) for t in tests], cwd=workdir,
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False  # a mutant that hangs the tests is caught too
+    return done.returncode == 0
+
+
+def main():
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="costar-mutants-") as tmp:
+        pristine = Path(tmp) / "pristine"
+        shutil.copytree(ROOT / "src", pristine,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        every = sorted({t for m in MUTANTS for t in m[4]})
+        if not run_tests(pristine, every, tmp):
+            print("the named tests fail on the unmutated source; nothing to measure")
+            return 2
+        for n, (name, path, old, new, tests) in enumerate(MUTANTS):
+            src = Path(tmp) / ("m%d" % n)
+            shutil.copytree(pristine, src)
+            if not apply_mutant(src, path, old, new):
+                verdict = "STALE"
+            else:
+                work = Path(tmp) / ("w%d" % n)
+                work.mkdir()
+                verdict = "survived" if run_tests(src, tests, work) else "killed"
+            shutil.rmtree(src)
+            print("%-8s %s" % (verdict, name), flush=True)
+            if verdict != "killed":
+                survivors.append(name)
+    if survivors:
+        print("%d of %d mutants not killed: %s"
+              % (len(survivors), len(MUTANTS), "; ".join(survivors)))
+        return 1
+    print("all %d mutants killed" % len(MUTANTS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -400,6 +400,8 @@ def upoly_json(poly):
 
 
 def coeff_json(f):
+    if f.is_zero():  # as in fun_text: stored terms can sum to zero
+        return {"terms": []}
     return {"terms": [
         {"alpha": list(alpha), "beta": list(beta),
          "num": upoly_json(r.num), "den": upoly_json(r.den)}

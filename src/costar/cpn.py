@@ -247,7 +247,7 @@ def table_reduced_product(constraint, f, g, order):
         mk = wick_kernel(f, g, k)
         if mk.is_zero():
             continue
-        uk_mk = mk.mul_radial(RadialRational.u_power(k))
+        uk_mk = mk * RadialRational.u_power(k)
         row = _table_row(constraint.kind, k, order - k + 1, constraint.mu)
         for l, c in enumerate(row):
             if not c:

@@ -7,17 +7,18 @@ J = p_n with its prolongation/difference-quotient pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from operator import add, methodcaller
 
 from .scalar import (
     GaussianRational,
     I,
-    LambdaSeries,
     TermRing,
-    _compositions,
-    _multi_factorial,
+    _merge,
+    kernel_series,
+    pairing_kernel,
 )
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 HALF_I = I * Fraction(1, 2)
 
@@ -31,6 +32,7 @@ class FlatPoly(TermRing):
     """
 
     __slots__ = ()
+    _coefficients = GaussianRational
 
     def __init__(self, dim, terms=()):
         if dim < 1:
@@ -42,13 +44,7 @@ class FlatPoly(TermRing):
             key = tuple(key)
             if len(key) != 2 * dim or any(e < 0 for e in key):
                 raise ValueError("bad exponent vector %r for dim %d" % (key, dim))
-            c = GaussianRational.of(c)
-            if key in out:
-                c = out[key] + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
+            _merge(out, key, GaussianRational.of(c))
         self.terms = out
         self._dcache = {}
 
@@ -73,44 +69,9 @@ class FlatPoly(TermRing):
         key[dim + i - 1] = 1
         return FlatPoly(dim, {tuple(key): ONE})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return FlatPoly(self.dim, out)
-
-    def __neg__(self):
-        return FlatPoly(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        self._check(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return FlatPoly(self.dim, out)
-
-    def scale(self, c):
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return FlatPoly.zero(self.dim)
-        return FlatPoly(self.dim, {k: v * c for k, v in self.terms.items()})
+    @staticmethod
+    def _key_product(k1, k2):
+        return tuple(map(add, k1, k2))
 
     def partial(self, idx):
         """Derivative by the 0-based coordinate index over (q1..qn, p1..pn)."""
@@ -123,12 +84,7 @@ class FlatPoly(TermRing):
         for key, c in self.terms.items():
             e = key[idx]
             if e:
-                nk = key[:idx] + (e - 1,) + key[idx + 1:]
-                s = out.get(nk, ZERO) + c * e
-                if s.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
+                _merge(out, key[:idx] + (e - 1,) + key[idx + 1:], c * e)
         res = FlatPoly(self.dim, out)
         self._dcache[idx] = res
         return res
@@ -138,12 +94,6 @@ class FlatPoly(TermRing):
 
     def dp(self, i):
         return self.partial(self.dim + i - 1)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, FlatPoly) or other.dim != self.dim:
-            return NotImplemented
-        return self.terms == other.terms
 
 
 def poisson(f, g):
@@ -161,19 +111,13 @@ def _degrees(f):
     return tuple(map(max, zip(*f.terms))) if f.terms else (0,) * (2 * f.dim)
 
 
-def _multi_partial(f, qexp, pexp):
-    out = f
-    for i, e in enumerate(qexp):
-        for _ in range(e):
-            out = out.partial(i)
-            if out.is_zero():
-                return out
-    for i, e in enumerate(pexp):
-        for _ in range(e):
-            out = out.partial(f.dim + i)
-            if out.is_zero():
-                return out
-    return out
+@cache
+def _moyal_pairs(n):
+    # d/dq^i f (x) d/dp_i g with sign +, then d/dp_i f (x) d/dq^i g with
+    # sign -; each partial is called by name, so it is looked up per call
+    d = [methodcaller("partial", i) for i in range(2 * n)]
+    return (tuple((d[i], d[n + i], 1) for i in range(n))
+            + tuple((d[n + i], d[i], -1) for i in range(n)))
 
 
 def moyal_kernel(f, g, r):
@@ -181,45 +125,24 @@ def moyal_kernel(f, g, r):
 
     M_r(f,g) = (i/2)^r sum over multi-indices s, t with |s|+|t| = r of
     (-1)^{|t|} / (s! t!) (d_q^s d_p^t f)(d_p^s d_q^t g), so that M_0 = fg and
-    M_1(f,g) - M_1(g,f) = i {f, g}.
+    M_1(f,g) - M_1(g,f) = i {f, g}.  This is the order-r term of
+    exp((i/2) sum_i (d_q^i (x) d_p_i - d_p_i (x) d_q^i)) on f (x) g.
 
     Only multi-indices with s_i <= min(deg_{q_i} f, deg_{p_i} g) and
-    t_i <= min(deg_{p_i} f, deg_{q_i} g) are enumerated, and only orders
-    |s| that leave |t| within its caps: every other term has an
-    identically zero derivative.  So M_r(f, p_n) with r >= 2 takes no
-    derivative at all.
+    t_i <= min(deg_{p_i} f, deg_{q_i} g) are enumerated: every other term
+    has an identically zero derivative.  So M_r(f, p_n) with r >= 2 takes
+    no derivative at all.
     """
-    f._check(g)
-    if r < 0:
-        raise ValueError("kernel order must be nonnegative")
+    f._check(g)  # before the degrees, which read the keys of g as flat
     n = f.dim
     fdeg, gdeg = _degrees(f), _degrees(g)
-    scap = tuple(map(min, fdeg[:n], gdeg[n:]))
-    tcap = tuple(map(min, fdeg[n:], gdeg[:n]))
-    acc = FlatPoly.zero(n)
-    for js in range(max(0, r - sum(tcap)), min(r, sum(scap)) + 1):
-        for s in _compositions(js, scap):
-            df = _multi_partial(f, s, (0,) * n)
-            if df.is_zero():
-                continue
-            for t in _compositions(r - js, tcap):
-                dft = _multi_partial(df, (0,) * n, t)
-                if dft.is_zero():
-                    continue
-                dg = _multi_partial(_multi_partial(g, t, (0,) * n), (0,) * n, s)
-                if dg.is_zero():
-                    continue
-                sign = -1 if (r - js) % 2 else 1
-                c = Fraction(sign, _multi_factorial(s) * _multi_factorial(t))
-                acc = acc + (dft * dg).scale(c)
-    return acc.scale(HALF_I ** r)
+    caps = tuple(map(min, fdeg[:n], gdeg[n:])) + tuple(map(min, fdeg[n:], gdeg[:n]))
+    return pairing_kernel(f, g, r, _moyal_pairs(n), caps, HALF_I)
 
 
 def moyal_product(f, g, order):
     """Star product of f and g as a series truncated at the given order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return LambdaSeries(tuple(moyal_kernel(f, g, r) for r in range(order + 1)))
+    return kernel_series(moyal_kernel, f, g, order)
 
 
 def prol(f):

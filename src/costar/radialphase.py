@@ -24,22 +24,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from operator import add, methodcaller
 
 from .scalar import (
     GaussianRational,
     I,
-    LambdaSeries,
     PoleError,
     RadialRational,
     TermRing,
     UPoly,
     _compositions,
+    _merge,
     _multi_factorial,
+    kernel_series,
+    pairing_kernel,
 )
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 # side of a term key (alpha, beta): the z exponents, or the zbar exponents
 Z, ZBAR = 0, 1
 
@@ -66,6 +69,7 @@ class RadialFun(TermRing):
     """
 
     __slots__ = ()
+    _coefficients = RadialRational
 
     def __init__(self, dim, terms=()):
         if dim < 1:
@@ -86,13 +90,7 @@ class RadialFun(TermRing):
                 if m:
                     r = r * RadialRational.u_power(m)
                     alpha, beta = (alpha[0] - m,), (beta[0] - m,)
-            key = (alpha, beta)
-            if key in out:
-                r = out[key] + r
-            if r.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = r
+            _merge(out, (alpha, beta), r)
         self.terms = out
         self._dcache = {}
 
@@ -130,42 +128,11 @@ class RadialFun(TermRing):
         dim = dim or len(alpha)
         return RadialFun(dim, {(alpha, beta): RadialRational.of(radial)})
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return RadialFun(self.dim, merged)
+    @staticmethod
+    def _key_product(k1, k2):
+        # raw sums: in dim 1, __init__ strips the common power of z zbar
+        return tuple(map(add, k1[0], k2[0])), tuple(map(add, k1[1], k2[1]))
 
-    def __neg__(self):
-        return RadialFun(self.dim, {k: -r for k, r in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        if isinstance(other, RadialRational):
-            return self.mul_radial(other)
-        self._check(other)
-        out = []
-        for (a1, b1), r1 in self.terms.items():
-            for (a2, b2), r2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                out.append((key, r1 * r2))
-        return RadialFun(self.dim, out)
-
-    def scale(self, c):
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return RadialFun.zero(self.dim)
-        return RadialFun(self.dim, {k: r.scale(c) for k, r in self.terms.items()})
-
-    def mul_radial(self, r):
-        r = RadialRational.of(r)
-        if r.is_zero():
-            return RadialFun.zero(self.dim)
-        return RadialFun(self.dim, {k: v * r for k, v in self.terms.items()})
 
     def d_z(self, i):
         """Derivative by z^i (1-based); du/dz^i = zbar^i."""
@@ -241,11 +208,7 @@ class RadialFun(TermRing):
                         tuple(x + y for x, y in zip(alpha, s)),
                         tuple(x + y for x, y in zip(beta, s)),
                     )
-                    v = cells.get(key, ZERO) + c * (factorial(k) // _multi_factorial(s))
-                    if v.is_zero():
-                        cells.pop(key, None)
-                    else:
-                        cells[key] = v
+                    _merge(cells, key, c * (factorial(k) // _multi_factorial(s)))
         return den, cells
 
     @staticmethod
@@ -259,14 +222,9 @@ class RadialFun(TermRing):
         return not self.terms or not self.expansion()[1]
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, RadialFun):
-            return NotImplemented
-        if other.dim != self.dim:
-            return False
-        if self.terms == other.terms:
-            return True
-        return (self - other).is_zero()
+        # stored terms are not canonical, so unequal ones go to the normal form
+        eq = TermRing.__eq__(self, other)
+        return (self - other).is_zero() if eq is False else eq
 
 
 def scalar_ratio(x, y):
@@ -399,6 +357,13 @@ def vanishes_on_sphere(f, constraint):
     return prol(f, constraint).is_zero()
 
 
+@cache
+def _wick_pairs(n):
+    # d/dz^i f (x) d/dzbar^i g, each called by name as _derivative
+    return tuple((methodcaller("_derivative", Z, i),
+                  methodcaller("_derivative", ZBAR, i), 1) for i in range(n))
+
+
 def wick_kernel(f, g, r):
     """Order-r Wick bidifferential kernel.
 
@@ -406,38 +371,15 @@ def wick_kernel(f, g, r):
     (d^r f / dz^{i_1}..dz^{i_r}) (d^r g / dzbar^{i_1}..dzbar^{i_r}),
     grouped by multi-index; the normalization makes M_0 = fg and
     M_1(f,g) - M_1(g,f) = i {f, g} for the form (i/2) sum dz^i ^ dzbar^i.
+    This is the order-r term of exp(2 sum_i d_z^i (x) d_zbar^i) on f (x) g;
+    no multi-index entry exceeds r.
     """
-    f._check(g)
-    if r < 0:
-        raise ValueError("kernel order must be nonnegative")
-    acc = RadialFun.zero(f.dim)
-    for s in _compositions(r, (r,) * f.dim):
-        df = _dz_multi(f, s, Z)
-        if not df.terms:
-            continue
-        dg = _dz_multi(g, s, ZBAR)
-        if not dg.terms:
-            continue
-        c = Fraction(2 ** r, _multi_factorial(s))
-        acc = acc + (df * dg).scale(c)
-    return acc
-
-
-def _dz_multi(f, s, side):
-    out = f
-    for i, e in enumerate(s):
-        for _ in range(e):
-            out = out._derivative(side, i)
-            if not out.terms:
-                return out
-    return out
+    return pairing_kernel(f, g, r, _wick_pairs(f.dim), (r,) * f.dim, 2)
 
 
 def wick_product(f, g, order):
     """Wick star product as a series truncated at the given order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return LambdaSeries(tuple(wick_kernel(f, g, r) for r in range(order + 1)))
+    return kernel_series(wick_kernel, f, g, order)
 
 
 def poisson(f, g):

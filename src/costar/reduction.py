@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .scalar import LambdaSeries
+from .scalar import LambdaSeries, kernel_series
 from . import flatphase
 from . import radialphase
 
@@ -218,7 +218,7 @@ def star_series(setup, fs, gs):
 
 def star_elements(setup, f, g, order):
     """f * g = sum_r M_r(f, g), one kernel call per order."""
-    return LambdaSeries(setup.kernel(f, g, r) for r in range(order + 1))
+    return kernel_series(setup.kernel, f, g, order)
 
 
 def decompose_deformed(setup, series):

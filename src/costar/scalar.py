@@ -31,6 +31,16 @@ def _as_fraction(x):
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 
 
+def _operand(of, x):
+    # of(x), or NotImplemented for an operand that of cannot read: so the
+    # scalar operators let I * f or r * f reach the reflected operator of a
+    # phase-space element f
+    try:
+        return of(x)
+    except TypeError:
+        return NotImplemented
+
+
 def _power(base, n, one):
     # base ** n for an int n >= 0 by square-and-multiply; the base is not
     # squared past the top bit of n, where that square would go unused
@@ -48,9 +58,12 @@ class TermRing:
     """Ring skeleton shared by the phase-space algebras FlatPoly and RadialFun.
 
     An element lives on a phase space of dimension dim and is stored as the
-    dict terms; _dcache memoises its first derivatives.  A subclass supplies
-    __init__(dim, terms), constant(c, dim), __add__, __neg__, __mul__, scale,
-    is_zero and __eq__; the rest of the ring is built here from those.
+    dict terms, from keys to nonzero coefficients; _dcache memoises its
+    first derivatives.  A subclass supplies __init__(dim, terms), which
+    normalises the keys, constant(c, dim), _key_product(k1, k2) and
+    _coefficients, the type of the stored coefficients; the rest of the
+    ring is built here.  Operand checks test type(other) first, so that
+    an element never reaches the ABCMeta check of Fraction.
     """
 
     __slots__ = ("dim", "terms", "_dcache")
@@ -65,9 +78,19 @@ class TermRing:
 
     def _coerce(self, other):
         # a bare scalar stands for the constant function
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if type(other) is not type(self) and isinstance(
+                other, (int, Fraction, GaussianRational)):
             return self.constant(other, self.dim)
         return other
+
+    def is_zero(self):
+        return not self.terms
+
+    def scale(self, c):
+        c = GaussianRational.of(c)
+        if c.is_zero():
+            return self.zero(self.dim)
+        return type(self)(self.dim, {k: v.scale(c) for k, v in self.terms.items()})
 
     def _check(self, other):
         if not isinstance(other, type(self)):
@@ -79,8 +102,25 @@ class TermRing:
                 "dimension mismatch: %d vs %d" % (self.dim, other.dim)
             )
 
-    def __radd__(self, other):
-        return self + other
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if not isinstance(other, type(self)) or other.dim != self.dim:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        self._check(other)
+        # elements are immutable, so a sum with zero can be the other operand
+        if not self.terms or not other.terms:
+            return other if not self.terms else self
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _merge(out, key, c)
+        return type(self)(self.dim, out)
+
+    def __neg__(self):
+        return type(self)(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -88,8 +128,24 @@ class TermRing:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __rmul__(self, other):
-        return self * other
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                return self.scale(other)
+            if isinstance(other, self._coefficients):
+                # multiplies every term, though a sum does not coerce it
+                terms = {k: v * other for k, v in self.terms.items()}
+                return type(self)(self.dim, terms)
+        self._check(other)
+        key_product = self._key_product
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _merge(out, key_product(k1, k2), c1 * c2)
+        return type(self)(self.dim, out)
+
+    # a reflected operand is a scalar, and both coefficient rings commute
+    __radd__, __rmul__ = __add__, __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -104,6 +160,71 @@ class TermRing:
         return "%s(%d, %r)" % (type(self).__name__, self.dim, self.sorted_terms())
 
     __hash__ = None
+
+
+def _merge(out, key, c):
+    # add the term c at key into the dict out, dropping a zero sum
+    s = out.get(key)
+    if s is not None:
+        c = s + c
+    if c.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
+def pairing_kernel(f, g, r, pairs, caps, weight):
+    """Order-r term of exp(weight * sum_p sign_p D_p (x) E_p) on f (x) g,
+
+        weight^r * sum over k with |k| = r of
+        prod_p sign_p^{k_p} / k_p!  (D^k f) (E^k g),
+
+    for pairs[p] = (D_p, E_p, sign_p) of commuting derivations of f and g.
+    Only k_p <= caps[p] is enumerated, a bound past which a term vanishes,
+    so no derivative is taken when the caps sum to less than r.  A chain of
+    derivatives serves every k with its prefix and stops at its first zero;
+    the g side steps first, since against a constraint it vanishes soonest.
+    """
+    f._check(g)
+    if r < 0:
+        raise ValueError("kernel order must be nonnegative")
+    acc = f.zero(f.dim)
+    if r > sum(caps) or not f.terms or not g.terms:
+        return acc
+    # room[p]: the largest order the pairs after p can take between them
+    room = [sum(caps[p + 1:]) for p in range(len(pairs))]
+    wr = weight ** r
+    for sign, den, df, dg in _pairing_terms(pairs, caps, room, 0, r, f, g):
+        c = wr * Fraction(sign, den)
+        acc = acc + (df * dg if c == 1 else (df * dg).scale(c))
+    return acc
+
+
+def _pairing_terms(pairs, caps, room, p, left, df, dg):
+    # (prod sign^k, k!, D^k df, E^k dg) over pairs p.. for each |k| = left;
+    # a recursive closure would leave a reference cycle on every call
+    d, e, s = pairs[p]
+    hi = min(left, caps[p])
+    chains = zip(_derivative_chain(dg, e, hi), _derivative_chain(df, d, hi))
+    for k, (dgk, dfk) in enumerate(chains):
+        if left - k > room[p]:
+            continue
+        if p + 1 == len(pairs):
+            yield s ** k, factorial(k), dfk, dgk
+            continue
+        for sign, den, dfl, dgl in _pairing_terms(pairs, caps, room, p + 1,
+                                                  left - k, dfk, dgk):
+            yield sign * s ** k, den * factorial(k), dfl, dgl
+
+
+def _derivative_chain(h, d, n):
+    # h, d(h), ..., d^n(h) for a nonzero h, stopping before the first zero
+    yield h
+    for _ in range(n):
+        h = d(h)
+        if not h.terms:
+            return
+        yield h
 
 
 def _compositions(total, caps):
@@ -214,26 +335,20 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._a or self._b)
 
-    # The binary operators return NotImplemented for an operand that is not
-    # an int, Fraction or GaussianRational, so that I + f, I - f and I * f
-    # reach the reflected operator of a phase-space element f.
-
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            try:
-                other = _of(other)
-            except TypeError:
-                return NotImplemented
+            other = _operand(_of, other)
+            if other is NotImplemented:
+                return other
         return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            try:
-                other = _of(other)
-            except TypeError:
-                return NotImplemented
+            other = _operand(_of, other)
+            if other is NotImplemented:
+                return other
         return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
@@ -244,10 +359,9 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            try:
-                other = _of(other)
-            except TypeError:
-                return NotImplemented
+            other = _operand(_of, other)
+            if other is NotImplemented:
+                return other
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if b or e:
@@ -260,10 +374,9 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
-            try:
-                other = _of(other)
-            except TypeError:
-                return NotImplemented
+            other = _operand(_of, other)
+            if other is NotImplemented:
+                return other
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not e:
@@ -277,6 +390,8 @@ class GaussianRational:
 
     def __rtruediv__(self, other):
         return _of(other) / self
+
+    scale = __mul__  # TermRing.scale calls v.scale(c) on every coefficient
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -632,7 +747,10 @@ class RadialRational:
         return self.num.is_zero()
 
     def __add__(self, other):
-        other = RadialRational.of(other)
+        if type(other) is not RadialRational:
+            other = _operand(RadialRational.of, other)
+            if other is NotImplemented:
+                return other
         if self.den == other.den:
             return RadialRational(self.num + other.num, self.den)
         g = self.den.gcd(other.den)
@@ -653,13 +771,17 @@ class RadialRational:
         return RadialRational._raw(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-RadialRational.of(other))
+        other = _operand(RadialRational.of, other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return RadialRational.of(other) - self
 
     def __mul__(self, other):
-        other = RadialRational.of(other)
+        if type(other) is not RadialRational:
+            other = _operand(RadialRational.of, other)
+            if other is NotImplemented:
+                return other
         if self.num.is_zero() or other.num.is_zero():
             return RadialRational(UPoly())
         # cross-cancel so the product needs no further reduction
@@ -670,7 +792,9 @@ class RadialRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = RadialRational.of(other)
+        other = _operand(RadialRational.of, other)
+        if other is NotImplemented:
+            return other
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         if self.is_zero():
@@ -728,10 +852,9 @@ class RadialRational:
         return self.num.eval(u0) / d
 
     def __eq__(self, other):
-        try:
-            other = RadialRational.of(other)
-        except TypeError:
-            return NotImplemented
+        other = _operand(RadialRational.of, other)
+        if other is NotImplemented:
+            return other
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -843,3 +966,11 @@ class LambdaSeries:
 
     def __repr__(self):
         return "LambdaSeries(%r)" % (self.coeffs,)
+
+
+def kernel_series(kernel, f, g, order):
+    """The star product f * g = sum_r M_r(f, g) with M_r = kernel(f, g, r),
+    truncated at the given order: one kernel call per order."""
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    return LambdaSeries(tuple(kernel(f, g, r) for r in range(order + 1)))

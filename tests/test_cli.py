@@ -172,6 +172,9 @@ def _schema_json(f):
         return {"re": str(c.re), "im": str(c.im)}
 
     terms = []
+    if f.is_zero():
+        # a vanishing element has no terms, whatever it stores
+        return {"terms": terms}
     for key, c in sorted(f.terms.items()):
         if isinstance(f, FlatPoly):
             alpha, beta = key[:f.dim], key[f.dim:]
@@ -271,6 +274,23 @@ def test_star_json_schema(capsys):
                     "num": [{"re": "1", "im": "0"}],
                     "den": [{"re": "1", "im": "0"}]}
     assert payload["coeffs"][1]["terms"][0]["num"] == [{"re": "0", "im": "1/2"}]
+
+
+def test_json_and_text_agree_on_vanishing_orders(capsys):
+    # orders 2-4 store terms that cancel in dim 2 (z1*zb1 + z2*zb2 = u),
+    # so the text prints 0 and the JSON must list no terms
+    argv = ["reduce", "--mode", "radial-linear", "--dim", "2", "--order", "4",
+            "--mu=-1", "--", "-z1*zb2/u + 1", "z2*zb1/u + z1*zb1/u"]
+    code, text, _ = _run(capsys, argv)
+    assert code == 0
+    lines = text.splitlines()
+    code, out, _ = _run(capsys, argv[:-3] + ["--json"] + argv[-3:])
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    assert len(coeffs) == len(lines) == 5
+    for line, coeff in zip(lines, coeffs):
+        assert line.endswith(": 0") == (coeff["terms"] == [])
+    assert [line.endswith(": 0") for line in lines] == [False, False, True, True, True]
 
 
 def test_reduce_cli_flat_frozen(capsys):

@@ -271,6 +271,26 @@ def test_moyal_kernel_against_constraint_takes_no_derivative(monkeypatch):
         for r in range(2, 7):
             assert moyal_kernel(f, FlatPoly.p(dim, dim), r).is_zero()
     assert not calls
+    # in general no partial is taken once r passes the sum of the caps
+    # min(deg_{q_i} f, deg_{p_i} g) + min(deg_{p_i} f, deg_{q_i} g)
+    pairs = [(q(1) ** 2 * p(2) + q(2), p(1) ** 3 + q(2) * p(1)),
+             (q(1) * q(2) * p(1) ** 2, q(1) ** 2 * p(2) ** 2 + p(1)),
+             (FlatPoly(3, {(1, 0, 2, 0, 1, 0): 1, (0, 0, 0, 3, 0, 0): I}),
+              FlatPoly(3, {(0, 0, 1, 0, 0, 2): 2, (2, 1, 0, 1, 0, 0): 1}))]
+    for f, g in pairs:
+        n = f.dim
+
+        def deg(h, idx):
+            return max(k[idx] for k in h.terms)
+
+        total = sum(min(deg(f, i), deg(g, n + i)) + min(deg(f, n + i), deg(g, i))
+                    for i in range(n))
+        for r in range(total + 1, total + 4):
+            assert moyal_kernel(f, g, r).is_zero()
+        assert not calls
+        moyal_kernel(f, g, total)
+        assert calls
+        calls.clear()
     # the counter does see the partials that M_1 takes
     assert not moyal_kernel(f, FlatPoly.p(dim, dim), 1).is_zero()
     assert calls

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +133,11 @@ def test_derivatives():
     u = RadialFun.u(2)
     assert u.d_z(1) == RadialFun.zbar(1, 2)
     assert u.d_zbar(2) == RadialFun.z(2, 2)
+    # the lowered exponent comes down as a factor, on either side
+    m, ru = RadialFun.monomial, RadialRational.u_power(1)
+    f = m((3, 0), (1, 2), radial=ru)
+    assert f.d_z(1) == m((2, 0), (1, 2), radial=ru * 3) + m((3, 0), (2, 2))
+    assert f.d_zbar(2) == m((3, 0), (1, 1), radial=ru * 2) + m((3, 1), (1, 2))
     # after dim-1 canonicalization z zbar / u is the constant 1
     f = RadialFun.monomial((1,), (1,), radial=RadialRational.u_power(-1))
     assert f == RadialFun.one(1)
@@ -216,6 +223,41 @@ def test_wick_associative_random(f, g, h):
     lhs = star_series(wick_product(f, g, order), as_series(h, order), order)
     rhs = star_series(as_series(f, order), wick_product(g, h, order), order)
     assert lhs == rhs
+
+
+def _uncapped_wick(f, g, r):
+    # M_r as wick_kernel's docstring states it: (2^r / r!) times the sum,
+    # over every r-tuple of indices, of the z derivatives of f by those
+    # indices times the zbar derivatives of g; no caps, no early exits
+    acc = RadialFun.zero(f.dim)
+    for idx in product(range(1, f.dim + 1), repeat=r):
+        df, dg = f, g
+        for i in idx:
+            df, dg = df.d_z(i), dg.d_zbar(i)
+        acc = acc + df * dg
+    return acc.scale(Fraction(2 ** r, factorial(r)))
+
+
+def kernel_funs(dim):
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    over_u = st.builds(lambda cs, k: RadialRational(UPoly(cs), UPoly.u(k)),
+                       st.lists(st.integers(-2, 2), max_size=2), st.integers(1, 2))
+    terms = st.lists(st.tuples(st.tuples(exps, exps),
+                               st.one_of(radial_polys(), over_u)), max_size=3)
+    return st.one_of(
+        st.just(RadialFun.zero(dim)),
+        gauss().map(lambda c: RadialFun.constant(c, dim)),
+        terms.map(lambda ts: RadialFun(dim, ts)),
+    )
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(kernel_funs(d),
+                                                              kernel_funs(d))),
+       st.integers(0, 4))
+def test_wick_kernel_matches_uncapped_sum(fg, r):
+    f, g = fg
+    assert wick_kernel(f, g, r) == _uncapped_wick(f, g, r)
 
 
 def test_constraint_validation():

@@ -56,6 +56,25 @@ def test_gaussian_on_the_left_of_an_algebra_element(mode):
         "x" * GaussianRational(1)
 
 
+def test_radial_rational_on_the_left_of_an_algebra_element():
+    # as for the Gaussian scalar: r * f multiplies like f * r, while a sum
+    # with r raises the algebra's own mismatch error on either side
+    from costar.radialphase import RadialFun
+
+    r = RadialRational.u_power(-1)
+    f = RadialFun.z(1, 2)
+    assert r * f == f * r == RadialFun.monomial((1, 0), (0, 0), radial=r)
+    for op in (lambda: f + r, lambda: r + f, lambda: r - f, lambda: f - r):
+        with pytest.raises(AlgebraMismatchError):
+            op()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        r / f
+    with pytest.raises(TypeError):
+        r + "x"
+    with pytest.raises(TypeError):
+        "x" * r
+    assert r != "x"
+
 
 def test_gaussian_hash_agrees_with_equality():
     # a real value equals, and so must hash like, the int or Fraction it is
@@ -169,6 +188,9 @@ def test_upoly_divmod_and_gcd():
     p = (u - 2) * (u + 2)
     q, r = p.divmod(u - 2)
     assert q == u + 2 and r.is_zero()
+    assert p.exact_div(u - 2) == u + 2
+    with pytest.raises(ValueError, match="not exact"):
+        (p + 1).exact_div(u - 2)
     assert p.gcd(u - 2) == (u - 2).monic()
     assert (u ** 3).lcm(u ** 2 * (u + 1)) == u ** 3 * (u + 1)
 

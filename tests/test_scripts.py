@@ -33,3 +33,20 @@ def test_moyal_reduction_demo():
     verdicts = [line.strip() for line in out.splitlines()
                 if line.strip().startswith("matches direct product:")]
     assert verdicts and all(v.endswith("True") for v in verdicts)
+
+
+def test_mutant_list_matches_source():
+    # every mutant of scripts/mutants.py still finds its one source text, and
+    # names tests that exist; running the mutants is a separate CI job
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    for name, path, old, new, tests in mutants.MUTANTS:
+        text = (ROOT / "src" / path).read_text()
+        assert text.count(old) == 1, name
+        assert new != old and tests, name
+        for test in tests:
+            file, func = test.split("::")
+            assert ("def %s(" % func) in (ROOT / file).read_text(), test
