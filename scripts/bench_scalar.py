@@ -1,7 +1,9 @@
 """Time the exact scalar layer on fixed, seeded inputs.
 
 Measures GaussianRational add/mul/div and UPoly mul/divmod/gcd, the
-operations every higher layer of the engine reduces to, and RadialRational
+operations every higher layer of the engine reduces to, UPoly mul on the
+small real operands (degree 0 to 4) that a reduction on the sphere
+multiplies, and RadialRational
 construction and derivative over the denominators a reduction on the
 sphere builds: u^a, and u^a (u - 2mu)^b with 2mu = -3 or -1.  Prints one
 JSON line: for each operation the best per-call time in nanoseconds over
@@ -28,6 +30,7 @@ from costar.scalar import GaussianRational, RadialRational, UPoly  # noqa: E402
 
 SCALARS = 400     # scalar operands; ops run on consecutive pairs
 POLYS = 40        # polynomial operands
+SMALL_POLYS = 200  # small real polynomial operands
 DEGREE = 6        # degree of each polynomial operand
 RADIALS = 40      # rational-function operands of each shape
 
@@ -44,6 +47,15 @@ def _scalar(rng):
 
 def _rational_poly(rng, degree):
     return UPoly([_fraction(rng) for _ in range(degree)] + [1])
+
+
+def _small_real_poly(rng):
+    # small coefficients over the denominators 1, 2 and 4 that mu = -1/2,
+    # -1 and -3/2 bring in; the lead is nonzero
+    def coeff():
+        return Fraction(rng.randint(-64, 64), rng.choice((1, 1, 2, 4)))
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64), rng.choice((1, 1, 2, 4)))
+    return UPoly([coeff() for _ in range(rng.randint(0, 4))] + [lead])
 
 
 def inputs(seed):
@@ -87,11 +99,13 @@ def cases(seed):
     divisors = [UPoly(p.coeffs[: DEGREE // 2 + 1]) for p in polys]
     rng = Random(seed)
     upow, shifted = radial_pairs(rng, False), radial_pairs(rng, True)
+    small = [_small_real_poly(rng) for _ in range(SMALL_POLYS)]
     return {
         "gaussian_add": (lambda a, b: a + b, _pairs(scalars)),
         "gaussian_mul": (lambda a, b: a * b, _pairs(scalars)),
         "gaussian_div": (lambda a, b: a / b, _pairs(nonzero)),
         "upoly_mul": (lambda a, b: a * b, _pairs(polys)),
+        "upoly_mul_small_real": (lambda a, b: a * b, _pairs(small)),
         "upoly_divmod": (lambda a, b: a.divmod(b), list(zip(polys, divisors))),
         "upoly_gcd": (lambda a, b: a.gcd(b), gcd_pairs),
         "radial_new_u": (RadialRational, upow),

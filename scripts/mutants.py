@@ -44,6 +44,7 @@ T_NEUMANN = "tests/test_reduction.py::test_operator_series_inversion_neumann"
 T_GCD = "tests/test_scalar.py::test_gcd_with_monomial_matches_euclid"
 T_EXACT = "tests/test_scalar.py::test_exact_div_by_monomial_rejects_a_remainder"
 T_DIVMOD = "tests/test_scalar.py::test_upoly_divmod_and_gcd"
+T_REF = "tests/test_scalar.py::test_upoly_matches_reference"
 T_QUAD = "tests/test_cpn.py::test_quadratic_table_frozen_values"
 T_CELLS = "tests/test_cpn.py::test_b_coeff_engine_reads_table_cells"
 
@@ -115,9 +116,38 @@ MUTANTS = [
      "q, r = self.divmod(other)\n        if False:",
      [T_DIVMOD, T_EXACT]),
     ("valuation off by one", SCALAR,
-     "            if c:\n                return k\n",
-     "            if c:\n                return k + 1\n",
+     "            if c or im and im[k]:\n                return k\n",
+     "            if c or im and im[k]:\n                return k + 1\n",
      [T_GCD, T_EXACT]),
+    # UPoly's integer arithmetic over one denominator
+    ("complex product cross term sign flipped", SCALAR,
+     "re[k] += x * y - xi * yi",
+     "re[k] += x * y + xi * yi",
+     [T_REF]),
+    ("content gcd after a sum skipped", SCALAR,
+     "return _reduced(re, im, d, g)",
+     "return _reduced(re, im, d, 1)",
+     [T_REF]),
+    ("u^k slice of exact_div off by one", SCALAR,
+     "return _over(re[k:], None if im is None else im[k:], other._den,",
+     "return _over(re[k + 1:], None if im is None else im[k + 1:], other._den,",
+     [T_EXACT, T_REF]),
+    ("pseudo-division quotient drops its lead powers", SCALAR,
+     "            qi.append(ci * p)\n            p *= lb\n",
+     "            qi.append(ci * p)\n            p *= 1\n",
+     [T_REF]),
+    ("pseudo-remainder skips the scaling by the lead", SCALAR,
+     "        if lb != 1:\n            rem = list(map(lb.__mul__, rem))",
+     "        if False:\n            rem = list(map(lb.__mul__, rem))",
+     [T_DIVMOD, T_REF]),
+    ("gcd stops at a constant remainder without returning 1", SCALAR,
+     "return UPoly.of(1)  # a nonzero constant remainder: coprime",
+     "pass  # a nonzero constant remainder: coprime",
+     [T_REF]),
+    ("Horner drops the denominator of the point", SCALAR,
+     "            p *= xd\n",
+     "            p *= 1\n",
+     [T_REF]),
     # the quadratic coefficient table
     ("quadratic row drops R", CPN,
      "after = p(h) if before is None else p(h) + r(before)",

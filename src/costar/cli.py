@@ -216,7 +216,7 @@ class _Parser:
         return base
 
     def size(self, value):
-        return sum(len(r.num.coeffs) + len(r.den.coeffs) - 1
+        return sum(r.num.degree() + r.den.degree() + 1
                    for _, _, r in term_view(value))
 
     def check_size(self, bound, pos):

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from math import gcd as _int_gcd
+from operator import add, mul, neg, sub
 
 
 class PoleError(ZeroDivisionError):
@@ -247,32 +248,6 @@ def _multi_factorial(exp):
     return n
 
 
-def _int_primitive(cs):
-    g = 0
-    for v in cs:
-        g = _int_gcd(g, v)
-    return [v // g for v in cs] if g else []
-
-
-def _int_pseudo_rem(a, b):
-    # remainder of a by b after scaling by powers of lead(b); integer lists
-    dv = len(b) - 1
-    lb = b[-1]
-    rem = list(a)
-    while len(rem) - 1 >= dv:
-        shift = len(rem) - 1 - dv
-        lr = rem.pop()
-        if lr:
-            rem = [c * lb for c in rem]
-            for k in range(dv):
-                rem[shift + k] -= lr * b[k]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-    return rem
-
-
 class GaussianRational:
     """Exact complex scalar (a + b*I)/d with integers a, b and d.
 
@@ -492,59 +467,231 @@ def scalar_text(c):
     return "(%s + %s)" % (c.re, im)
 
 
+def _reduced(re, im, den, g):
+    """(re + I*im)/den as a UPoly, for int lists re and im (None when real)
+    of one length and den > 0.  Trailing zero coefficients are popped in
+    place, and the coefficients and den are divided by h = gcd(g, re, im).
+    Every prime that divides den and all the coefficients must divide g, so
+    g == 1 needs no gcd.  g == 0 divides out the content and leaves den, so
+    _reduced(r, ri, 1, 0) is the primitive part of r."""
+    if im is not None and not any(im):
+        im = None
+    if im is None:
+        while re and not re[-1]:
+            re.pop()
+    else:
+        while not re[-1] and not im[-1]:
+            re.pop()
+            im.pop()
+    if not re:
+        den = 1
+    elif g != 1:
+        h = _int_gcd(g, *re) if im is None else _int_gcd(g, *re, *im)
+        if h != 1:
+            # h.__rfloordiv__(v) is v // h
+            re = list(map(h.__rfloordiv__, re))
+            if im is not None:
+                im = list(map(h.__rfloordiv__, im))
+            if g:
+                den //= h
+    p = _new(UPoly)
+    p._re = re
+    p._im = im
+    p._den = den
+    return p
+
+
+def _times(re, im, a, b):
+    # (re + I*im) * (a + b*I) for int lists re, im (None when real) and ints
+    if not b:
+        return (list(map(a.__mul__, re)),
+                None if im is None else list(map(a.__mul__, im)))
+    if im is None:
+        return list(map(a.__mul__, re)), list(map(b.__mul__, re))
+    out, outi = [], []
+    for x, y in zip(re, im):
+        out.append(x * a - y * b)
+        outi.append(x * b + y * a)
+    return out, outi
+
+
+def _over(re, im, m, den, a, b):
+    # (re + I*im) * m / (den * (a + b*I)) as a UPoly, for int lists re, im
+    # (None when real), ints m != 0, den > 0 and a + b*I != 0
+    if b:
+        re, im = _times(re, im, a * m, -b * m)
+        den *= a * a + b * b
+    else:
+        if a < 0:
+            a, m = -a, -m
+        if m != 1:
+            re, im = _times(re, im, m, 0)
+        else:
+            re, im = list(re), None if im is None else list(im)
+        den *= a
+    return _reduced(re, im, den, den)
+
+
+def _int_pseudo_rem(a, ai, b, bi, quo):
+    """Remainder r of the pseudo-division of a + I*ai by b + I*bi.
+
+    The lists hold Gaussian integers, and ai and bi are None when real.  A
+    complex lead l of b is first made the rational integer |l|**2 by
+    multiplying b by conj(l).  Then each step scales the remainder by the
+    lead lb of b and cancels its top coefficient c, so with e = len(a) -
+    len(b) + 1 steps,
+
+        lb**e * a == sum_s c_s * lb**s * u**s * b + r,
+
+    and (c_s, ci_s) goes to quo[s] unless quo is None.  Returns
+    (r, ri) untrimmed, with ri None when everything is real.
+    """
+    if bi is not None and bi[-1]:
+        b, bi = _times(b, bi, b[-1], -bi[-1])
+    dv = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    if ai is not None:
+        remi = list(ai)
+    elif bi is not None:
+        remi = [0] * len(a)
+    else:
+        remi = None
+    bim = bi if bi is not None else [0] * len(b)
+    for shift in range(len(a) - 1 - dv, -1, -1):
+        c = rem.pop()
+        if lb != 1:
+            rem = list(map(lb.__mul__, rem))
+        ci = 0
+        if remi is None:
+            for k in range(dv):
+                rem[shift + k] -= c * b[k]
+        else:
+            ci = remi.pop()
+            if lb != 1:
+                remi = list(map(lb.__mul__, remi))
+            for k in range(dv):
+                x, y = b[k], bim[k]
+                rem[shift + k] -= c * x - ci * y
+                remi[shift + k] -= c * y + ci * x
+        if quo is not None:
+            quo[shift] = (c, ci)
+    return rem, remi
+
+
 class UPoly:
     """Univariate polynomial in u over GaussianRational.
 
-    Coefficients are little-endian with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Stored as (re + I*im)/den: re and im are little-endian lists of integers
+    of one length, with no trailing coefficient zero in both; im is None when
+    every coefficient is real; den > 0 and gcd(den, re, im) == 1.  The form
+    is canonical, so structural equality is value equality.  The zero
+    polynomial has re == [] and degree -1.  The lists are never mutated once
+    stored.  coeffs, the tuple of GaussianRational coefficients, is derived
+    on first use and kept.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [GaussianRational.of(c) for c in coeffs]
+        cs = list(map(GaussianRational.of, coeffs))
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs = tuple(cs)
+        den = 1
+        for c in cs:
+            if c._d != 1:
+                den = den * c._d // _int_gcd(den, c._d)
+        # over the lcm each prime of den misses one reduced coefficient
+        re, im = [], []
+        for c in cs:
+            k = den // c._d
+            re.append(c._a * k)
+            im.append(c._b * k)
+        self._re, self._im, self._den = re, im if any(im) else None, den
+        self._coeffs = tuple(cs)
+
+    @property
+    def coeffs(self):
+        try:
+            return self._coeffs
+        except AttributeError:
+            pass
+        re, im, n = self._re, self._im, len(self._re)
+        cs = tuple(map(_make, re, im or [0] * n, [self._den] * n))
+        self._coeffs = cs
+        return cs
 
     @staticmethod
     def of(x):
         if isinstance(x, UPoly):
             return x
+        if type(x) is int:
+            return _reduced([x] if x else [], None, 1, 1)
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return UPoly((GaussianRational.of(x),))
+            c = GaussianRational.of(x)
+            if c.is_zero():
+                return _reduced([], None, 1, 1)
+            return _reduced([c._a], [c._b] if c._b else None, c._d, 1)
         raise TypeError("cannot interpret %r as a polynomial in u" % (x,))
 
     @staticmethod
     def u(power=1):
         # the monomial u**power
-        return UPoly((0,) * power + (1,))
+        if power < 0:
+            raise ValueError("a power of u in a polynomial must be nonnegative")
+        return _reduced([0] * power + [1], None, 1, 1)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._re
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def lead(self):
-        if not self.coeffs:
+        if not self._re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        im = self._im
+        return _make(self._re[-1], im[-1] if im is not None else 0, self._den)
 
     def __add__(self, other):
-        other = UPoly.of(other)
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not UPoly:
+            other = UPoly.of(other)
+        a, b = self._re, other._re
+        if not b:
+            return self
+        if not a:
+            return other
+        ai, bi = self._im, other._im
+        d, f = self._den, other._den
+        if d == f:
+            g = d
+        else:
+            # bring both to lcm(d, f) = d*s = f*t; a prime shared by the
+            # numerators and the lcm then divides g = gcd(d, f)
+            g = _int_gcd(d, f)
+            s, t = f // g, d // g
+            a, ai = _times(a, ai, s, 0)
+            b, bi = _times(b, bi, t, 0)
+            d *= s
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UPoly(out)
+            a, b, ai, bi = b, a, bi, ai
+        re = list(a)
+        for k, v in enumerate(b):
+            re[k] += v
+        im = None
+        if ai is not None or bi is not None:
+            im = list(ai) if ai is not None else [0] * len(a)
+            if bi is not None:
+                for k, v in enumerate(bi):
+                    im[k] += v
+        return _reduced(re, im, d, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UPoly(tuple(-c for c in self.coeffs))
+        im = self._im
+        return _reduced(list(map(neg, self._re)),
+                        None if im is None else list(map(neg, im)), self._den, 1)
 
     def __sub__(self, other):
         return self + (-UPoly.of(other))
@@ -553,22 +700,40 @@ class UPoly:
         return UPoly.of(other) - self
 
     def __mul__(self, other):
-        other = UPoly.of(other)
-        if self.is_zero() or other.is_zero():
-            return UPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return UPoly(out)
+        if type(other) is not UPoly:
+            other = UPoly.of(other)
+        a, b = self._re, other._re
+        if not a or not b:
+            return _reduced([], None, 1, 1)
+        den = self._den * other._den
+        ai, bi = self._im, other._im
+        if ai is None and bi is None:
+            re = [0] * (len(a) + len(b) - 1)
+            for j, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, j):
+                        re[k] += x * y
+            return _reduced(re, None, den, den)
+        # the product of two nonzero polynomials has a nonzero lead
+        n = len(a) + len(b) - 1
+        re, im = [0] * n, [0] * n
+        ai = ai if ai is not None else [0] * len(a)
+        bi = bi if bi is not None else [0] * len(b)
+        for j, (x, xi) in enumerate(zip(a, ai)):
+            for k, (y, yi) in enumerate(zip(b, bi), j):
+                re[k] += x * y - xi * yi
+                im[k] += x * yi + xi * y
+        return _reduced(re, im, den, den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = GaussianRational.of(c)
-        return UPoly(tuple(a * c for a in self.coeffs))
+        if c.is_zero() or not self._re:
+            return _reduced([], None, 1, 1)
+        re, im = _times(self._re, self._im, c._a, c._b)
+        den = self._den * c._d
+        return _reduced(re, im, den, den)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -579,62 +744,63 @@ class UPoly:
         other = UPoly.of(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree()
-        inv_lead = ONE / other.lead()
-        quo = [ZERO] * max(dd - dv + 1, 0)
-        while dd >= dv and rem:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-                dd -= 1
-            if dd < dv or not rem:
-                break
-            c = rem[-1] * inv_lead
-            quo[dd - dv] = c
-            for k in range(dv + 1):
-                rem[dd - dv + k] = rem[dd - dv + k] - c * other.coeffs[k]
-        return UPoly(quo), UPoly(rem)
+        a, ai, da = self._re, self._im, self._den
+        if len(a) < len(other._re):
+            return _reduced([], None, 1, 1), self
+        # self = a/da and other = b/db; the pseudo-division runs on b' = b*c
+        # for c = conj(lead(b)) = b[-1] - cb*I when that lead is complex
+        b, bi = other._re, other._im
+        cb = 0 if bi is None else -bi[-1]
+        e = len(a) - len(b) + 1
+        quo = [None] * e
+        r, ri = _int_pseudo_rem(a, ai, b, bi, quo)
+        # lb**e * a == q' * b' + r for the lead lb of b', so the quotient is
+        # q' * c * db / (lb**e * da) and the remainder r / (lb**e * da)
+        lb, p = (b[-1] * b[-1] + cb * cb if cb else b[-1]), 1
+        q, qi = [], []
+        for c, ci in quo:
+            q.append(c * p)
+            qi.append(ci * p)
+            p *= lb
+        qi = qi if any(qi) else None
+        if cb:
+            q, qi = _times(q, qi, b[-1], cb)
+        scale = lb ** e
+        return (_over(q, qi, other._den, da, scale, 0),
+                _over(r, ri, 1, da, scale, 0))
 
     def exact_div(self, other):
         other = UPoly.of(other)
         k = other._valuation()
         if k == other.degree():
             # other is c*u**k: drop k coefficients that must be zero, divide by c
-            cs = self.coeffs
-            if any(cs[:k]):
+            re, im = self._re, self._im
+            if any(re[:k]) or im is not None and any(im[:k]):
                 raise ValueError("polynomial division is not exact")
-            q = UPoly(cs[k:])
-            c = other.coeffs[k]
-            return q if c == ONE else q.scale(ONE / c)
+            oi = other._im
+            if oi is None and other._re[k] == other._den == 1:
+                return _reduced(re[k:], None if im is None else im[k:], self._den, 1)
+            return _over(re[k:], None if im is None else im[k:], other._den,
+                         self._den, other._re[k], 0 if oi is None else oi[k])
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ValueError("polynomial division is not exact")
         return q
 
     def monic(self):
-        if self.is_zero():
+        re, im = self._re, self._im
+        if not re or re[-1] == self._den and (im is None or not im[-1]):
             return self
-        return self.scale(ONE / self.lead())
+        return _over(re, im, 1, 1, re[-1], 0 if im is None else im[-1])
 
     def _valuation(self):
         """v_u: the power of u dividing self, i.e. its count of leading zero
         coefficients; None for the zero polynomial."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        im = self._im
+        for k, c in enumerate(self._re):
+            if c or im and im[k]:
                 return k
         return None
-
-    def _as_primitive_ints(self):
-        # primitive integer coefficient list, or None for complex coefficients
-        den = 1
-        for c in self.coeffs:
-            if c._b:
-                return None
-            d = c._d
-            if d != 1:
-                den = den * d // _int_gcd(den, d)
-        ints = [c._a * (den // c._d) for c in self.coeffs]
-        return _int_primitive(ints)
 
     def gcd(self, other):
         other = UPoly.of(other)
@@ -649,19 +815,15 @@ class UPoly:
         if va == self.degree() or vb == other.degree():
             # c*u**k shares with a polynomial of valuation v just u**min(k, v)
             return UPoly.u(min(va, vb))
-        sa, sb = self._as_primitive_ints(), other._as_primitive_ints()
-        if sa is not None and sb is not None:
-            # primitive pseudo-remainder sequence over the integers
-            while sb:
-                sa, sb = sb, _int_primitive(_int_pseudo_rem(sa, sb))
-            if sa[-1] < 0:
-                sa = [-v for v in sa]
-            lead = sa[-1]
-            return UPoly(tuple(_make(v, 0, lead) for v in sa))
-        a, b = self.monic(), other.monic()
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1].monic()
-        return a if not a.is_zero() else UPoly.of(1)
+        # primitive pseudo-remainder sequence on the numerators, over Z or
+        # over Z[i] with a rational-integer content
+        a, b = self, other
+        while b.degree() > 0:
+            r, ri = _int_pseudo_rem(a._re, a._im, b._re, b._im, None)
+            a, b = b, _reduced(r, ri, 1, 0)
+        if not b.is_zero():
+            return UPoly.of(1)  # a nonzero constant remainder: coprime
+        return a.monic()
 
     def lcm(self, other):
         other = UPoly.of(other)
@@ -670,24 +832,43 @@ class UPoly:
         return (self * other).exact_div(self.gcd(other)).monic()
 
     def eval(self, x):
+        # Horner on the numerators, homogenised in the denominator of x:
+        # sum n_k x**k == sum n_k xa**k xd**(n-k) / xd**n for x = xa/xd
         x = GaussianRational.of(x)
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        re, im = self._re, self._im
+        if not re:
+            return ZERO
+        im = im if im is not None else [0] * len(re)
+        xa, xb, xd = x._a, x._b, x._d
+        acc, acci, p = re[-1], im[-1], 1
+        for k in range(len(re) - 2, -1, -1):
+            p *= xd
+            acc, acci = (acc * xa - acci * xb + re[k] * p,
+                         acc * xb + acci * xa + im[k] * p)
+        return _make(acc, acci, self._den * p)
 
     def derivative(self):
-        return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
+        re, im = self._re, self._im
+        ks = range(1, len(re))
+        return _reduced(list(map(mul, ks, re[1:])),
+                        None if im is None else list(map(mul, ks, im[1:])),
+                        self._den, self._den)
 
     def __eq__(self, other):
-        try:
-            other = UPoly.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if type(other) is not UPoly:
+            try:
+                other = UPoly.of(other)
+            except TypeError:
+                return NotImplemented
+        return (self._re == other._re and self._den == other._den
+                and self._im == other._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like the scalar it compares equal to
+        re, im = self._re, self._im
+        if len(re) <= 1:
+            return hash(self.lead()) if re else 0
+        return hash((tuple(re), None if im is None else tuple(im), self._den))
 
     def __repr__(self):
         return "UPoly(%r)" % (self.coeffs,)
@@ -703,25 +884,24 @@ class RadialRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num, den = UPoly.of(num), UPoly.of(den)
+        if type(num) is not UPoly:
+            num = UPoly.of(num)
+        if type(den) is not UPoly:
+            den = UPoly.of(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function of u")
         if num.is_zero():
             self.num, self.den = UPoly(), UPoly.of(1)
             return
-        if den.degree() == 0:
-            lc = den.lead()
-            self.num = num if lc == ONE else num.scale(ONE / lc)
-            self.den = UPoly.of(1)
-            return
-        if num.degree() > 0:
+        if num.degree() > 0 and den.degree() > 0:
             g = num.gcd(den)
             if g.degree() > 0:
                 num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lead()
-        if lc != ONE:
-            num, den = num.scale(ONE / lc), den.monic()
-        self.num, self.den = num, den
+        # monic returns a monic den itself, and then num needs no scaling
+        monic = den.monic()
+        if monic is not den:
+            num = num.scale(ONE / den.lead())
+        self.num, self.den = num, monic
 
     @staticmethod
     def of(x):
@@ -808,10 +988,10 @@ class RadialRational:
             raise ZeroDivisionError("division by the zero rational function")
         # den/num is already reduced; it only needs a monic denominator
         num, den = self.den, self.num
-        lc = den.lead()
-        if lc != ONE:
-            num, den = num.scale(ONE / lc), den.monic()
-        inv = RadialRational._raw(num, den)
+        monic = den.monic()
+        if monic is not den:
+            num = num.scale(ONE / den.lead())
+        inv = RadialRational._raw(num, monic)
         return inv if other == 1 else RadialRational.of(other) * inv
 
     def scale(self, c):
@@ -858,6 +1038,9 @@ class RadialRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # with the denominator 1 it equals, and so hashes like, its numerator
+        if self.den.degree() == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -920,7 +1103,7 @@ class LambdaSeries:
         return LambdaSeries(self.coeffs[: order + 1])
 
     def map(self, fn):
-        return LambdaSeries(tuple(fn(c) for c in self.coeffs))
+        return LambdaSeries(tuple(map(fn, self.coeffs)))
 
     def _check(self, other):
         if not isinstance(other, LambdaSeries):
@@ -931,18 +1114,18 @@ class LambdaSeries:
                 % (type(self.coeffs[0]).__name__, type(other.coeffs[0]).__name__)
             )
 
+    # map stops at the shorter operand, which truncates to the smaller order
+
     def __add__(self, other):
         self._check(other)
-        n = min(self.order, other.order)
-        return LambdaSeries(tuple(self[k] + other[k] for k in range(n + 1)))
+        return LambdaSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        n = min(self.order, other.order)
-        return LambdaSeries(tuple(self[k] - other[k] for k in range(n + 1)))
+        return LambdaSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return LambdaSeries(tuple(-c for c in self.coeffs))
+        return LambdaSeries(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         self._check(other)
@@ -958,9 +1141,7 @@ class LambdaSeries:
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 

@@ -16,7 +16,7 @@ def test_bench_scalar_prints_one_json_line():
     assert report["repeat"] == 1 and report["seed"] == 0
     assert set(report["ns_per_op"]) == {
         "gaussian_add", "gaussian_mul", "gaussian_div",
-        "upoly_mul", "upoly_divmod", "upoly_gcd",
+        "upoly_mul", "upoly_mul_small_real", "upoly_divmod", "upoly_gcd",
         "radial_new_u", "radial_new_u_shift",
         "radial_derivative_u", "radial_derivative_u_shift",
     }

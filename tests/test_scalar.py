@@ -247,35 +247,100 @@ def test_radial_rational_field_ops_pointwise(n1, d1, n2, d2):
     assert px == fx * gx
 
 
-# Reference polynomial arithmetic for the tests below: little-endian lists of
-# Gaussian rationals with their own long division and monic Euclid, so that
-# nothing here runs UPoly.divmod, exact_div or gcd.
+# Reference polynomial arithmetic for the tests below: _RefUPoly keeps a
+# trimmed little-endian tuple of Gaussian rationals and computes on it
+# coefficient by coefficient, with long division and a monic Euclid over
+# Q(i).  It shares no polynomial code with UPoly, which computes on
+# integers over one denominator.
 
-def _ref_trim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
+class _RefUPoly:
+    def __init__(self, cs=()):
+        cs = [GaussianRational.of(c) for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.cs = tuple(cs)
+
+    def __bool__(self):
+        return bool(self.cs)
+
+    def __eq__(self, other):
+        return self.cs == other.cs
+
+    def __add__(self, other):
+        a, b = list(self.cs), list(other.cs)
+        if len(a) < len(b):
+            a, b = b, a
+        for k, c in enumerate(b):
+            a[k] = a[k] + c
+        return _RefUPoly(a)
+
+    def __neg__(self):
+        return _RefUPoly(-c for c in self.cs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self or not other:
+            return _RefUPoly()
+        out = [GaussianRational(0)] * (len(self.cs) + len(other.cs) - 1)
+        for j, a in enumerate(self.cs):
+            for k, b in enumerate(other.cs):
+                out[j + k] = out[j + k] + a * b
+        return _RefUPoly(out)
+
+    def scale(self, c):
+        return _RefUPoly(a * c for a in self.cs)
+
+    def divmod(self, other):
+        rem, b = list(self.cs), other.cs
+        quo = [GaussianRational(0)] * max(len(rem) - len(b) + 1, 0)
+        while len(rem) >= len(b):
+            c = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            quo[shift] = c
+            for k, bk in enumerate(b):
+                rem[shift + k] = rem[shift + k] - c * bk
+            rem = list(_RefUPoly(rem).cs)
+        return _RefUPoly(quo), _RefUPoly(rem)
+
+    def monic(self):
+        return self.scale(GaussianRational(1) / self.cs[-1]) if self else self
+
+    def gcd(self, other):
+        a, b = self, other
+        while b:
+            a, b = b, a.divmod(b)[1]
+        return a.monic() if a else _RefUPoly([1])
+
+    def lcm(self, other):
+        if not self or not other:
+            return _RefUPoly()
+        return (self * other).divmod(self.gcd(other))[0].monic()
+
+    def eval(self, x):
+        out = GaussianRational(0)
+        for c in reversed(self.cs):
+            out = out * x + c
+        return out
+
+    def derivative(self):
+        return _RefUPoly(c * k for k, c in enumerate(self.cs) if k)
 
 
-def _ref_divmod(a, b):
-    rem, b = _ref_trim(a), _ref_trim(b)
-    quo = [GaussianRational(0)] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quo[shift] = c
-        for k, bk in enumerate(b):
-            rem[shift + k] = rem[shift + k] - c * bk
-        rem = _ref_trim(rem)
-    return _ref_trim(quo), rem
+def _ref(p):
+    return _RefUPoly(p.coeffs)
 
 
-def _ref_gcd(a, b):
-    a, b = _ref_trim(a), _ref_trim(b)
-    while b:
-        a, b = b, _ref_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else [GaussianRational(1)]
+def _same(p, ref):
+    # p is the reference value, stored in the canonical integer form
+    assert p.coeffs == ref.cs
+    re, im, den = p._re, p._im, p._den
+    assert den > 0 and len(re) == p.degree() + 1
+    assert im is None or (len(im) == len(re) and any(im))
+    assert not re or re[-1] or im[-1]
+    assert gcd(den, *re, *(im or ())) == 1
+    assert UPoly(p.coeffs) == p
 
 
 gauss_polys = st.lists(gaussians, max_size=5).map(UPoly)
@@ -284,22 +349,91 @@ monomials = st.builds(lambda c, k: UPoly((0,) * k + (c,)),
                       nonzero_gaussians, st.integers(0, 6))
 # polynomials with a power of u as a factor, so min(k, v_u) varies
 u_multiples = st.builds(lambda p, j: p * UPoly.u(j), gauss_polys, st.integers(0, 4))
+# real and complex coefficients, the zero polynomial, constants and c*u**k
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+reference_polys = st.one_of(
+    st.lists(wide_fractions, max_size=6).map(UPoly),
+    st.lists(wide_gaussians, max_size=6).map(UPoly),
+    st.just(UPoly()),
+    st.builds(UPoly.of, wide_gaussians),
+    monomials,
+)
+
+
+@settings(max_examples=200)
+@given(reference_polys, reference_polys, reference_polys, wide_gaussians,
+       wide_gaussians)
+def test_upoly_matches_reference(a, b, common, c, x):
+    ra, rb = _ref(a), _ref(b)
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(-a, -ra)
+    _same(a * b, ra * rb)
+    _same(a.scale(c), ra.scale(c))
+    _same(a.monic(), ra.monic())
+    _same(a.derivative(), ra.derivative())
+    assert a.eval(x) == ra.eval(x)
+    # a common factor, so the gcd and the exact divisions have work to do
+    if not common.is_zero():
+        a, b = a * common, b * common
+        ra, rb = _ref(a), _ref(b)
+    _same(a.gcd(b), ra.gcd(rb))
+    _same(a.lcm(b), ra.lcm(rb))
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    rq, rr = ra.divmod(rb)
+    _same(q, rq)
+    _same(r, rr)
+    if rr:
+        with pytest.raises(ValueError, match="not exact"):
+            a.exact_div(b)
+    else:
+        _same(a.exact_div(b), rq)
+    _same((a * b).exact_div(b), ra)
+
+
+any_scalars = st.one_of(st.integers(-50, 50), small_fractions, gaussians)
+
+
+@settings(max_examples=200)
+@given(any_scalars, gauss_polys)
+def test_upoly_and_radial_hash_agree_with_equality(c, p):
+    # a constant equals, and so must hash like, the scalar it holds; a
+    # RadialRational over 1 likewise equals and hashes like its numerator
+    for x in (UPoly.of(c), RadialRational.of(c)):
+        assert x == c and hash(x) == hash(c)
+        assert len({x, c}) == 1
+    r = RadialRational(p)
+    assert r == p and hash(r) == hash(p)
+    assert len({r, p}) == 1
+
+
+def test_negative_power_of_u():
+    with pytest.raises(ValueError, match="nonnegative"):
+        UPoly.u(-1)
+    # RadialRational keeps its own negative powers
+    assert RadialRational.u_power(-2) == RadialRational(UPoly.of(1), UPoly.u(2))
+    assert RadialRational.u_power(-2) * RadialRational.u_power(2) == 1
 
 
 @given(monomials, u_multiples, st.booleans())
 def test_gcd_with_monomial_matches_euclid(m, p, swap):
     a, b = (p, m) if swap else (m, p)
-    assert a.gcd(b) == UPoly(_ref_gcd(a.coeffs, b.coeffs))
+    _same(a.gcd(b), _ref(a).gcd(_ref(b)))
 
 
 @given(u_multiples, monomials)
 def test_exact_div_by_monomial_matches_long_division(p, m):
-    quo, rem = _ref_divmod(p.coeffs, m.coeffs)
+    quo, rem = _ref(p).divmod(_ref(m))
     if rem:
         with pytest.raises(ValueError, match="not exact"):
             p.exact_div(m)
     else:
-        assert p.exact_div(m) == UPoly(quo)
+        _same(p.exact_div(m), quo)
     assert (p * m).exact_div(m) == p
 
 
@@ -344,7 +478,7 @@ def test_derivative_matches_quotient_rule(f):
     got = f.derivative()
     assert got == RadialRational(n.derivative() * d - n * d.derivative(), d * d)
     # canonical without the constructor: coprime parts, monic denominator
-    assert _ref_gcd(got.num.coeffs, got.den.coeffs) == [GaussianRational(1)]
+    assert _ref(got.num).gcd(_ref(got.den)) == _RefUPoly([1])
     assert got.den.lead() == 1
 
 
