@@ -41,6 +41,8 @@ T_DERIV = "tests/test_radialphase.py::test_derivatives"
 T_RING = "tests/test_flatphase.py::test_ring_ops"
 T_STAR_CALLS = "tests/test_reduction.py::test_star_elements_call_counts"
 T_NEUMANN = "tests/test_reduction.py::test_operator_series_inversion_neumann"
+T_SETUP = "tests/test_reduction.py::test_phase_setup_checks_its_maps"
+T_INTERTWINER = "tests/test_reduction.py::test_verify_nontrivial_intertwiner"
 T_GCD = "tests/test_scalar.py::test_gcd_with_monomial_matches_euclid"
 T_EXACT = "tests/test_scalar.py::test_exact_div_by_monomial_rejects_a_remainder"
 T_DIVMOD = "tests/test_scalar.py::test_upoly_divmod_and_gcd"
@@ -106,6 +108,19 @@ MUTANTS = [
      "acc = acc - self.ops[k](h[m - k])",
      "acc = acc + self.ops[k](h[m - k])",
      [T_NEUMANN]),
+    ("reduce_star_series skips apply_inverse", REDUCTION,
+     "return s_inverse(transfer_series(setup, ambient).map(setup.prol))",
+     "return transfer_series(setup, ambient).map(setup.prol)",
+     [T_INTERTWINER]),
+    # the checks of a phase setup
+    ("setup skips the prol(j) == 0 check", REDUCTION,
+     "if not prol(j).is_zero():",
+     "if False:",
+     [T_SETUP]),
+    ("setup skips the pij(j) == one check", REDUCTION,
+     "if pij(j) != self.one:",
+     "if False:",
+     [T_SETUP]),
     # polynomials in u
     ("u^k gcd takes max for min", SCALAR,
      "return UPoly.u(min(va, vb))",

@@ -22,7 +22,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -431,42 +430,25 @@ def _check_dim(dim):
         raise ValueError("dim must be at most %d" % MAX_DIM)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings shared by the product commands."""
-
-    mode: str
-    dim: int
-    order: int
-    mu: Fraction
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError("unknown mode %r" % (self.mode,))
-        _check_dim(self.dim)
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
-        if self.order > MAX_ORDER:
-            raise ValueError("order must be at most %d" % MAX_ORDER)
-
-    def constraint(self):
-        if self.mode == "radial-linear":
-            return RadialConstraint.linear(self.mu)
-        if self.mode == "radial-quadratic":
-            return RadialConstraint.quadratic(self.mu)
-        return None
-
-    def setup(self):
-        if self.mode == "flat":
-            return flat_setup(self.dim)
-        return radial_setup(self.constraint(), self.dim)
-
-    def parse(self, text):
-        return parse_expression(text, self.mode, self.dim)
-
-
-def _config(ns):
-    return RunConfig(mode=ns.mode, dim=ns.dim, order=ns.order, mu=ns.mu)
+def _product_inputs(ns, reduced):
+    """Validate the product options (argparse has checked --mode), then
+    build the setup (for a reduced product; None otherwise) and parse both
+    factors, in that order."""
+    _check_dim(ns.dim)
+    if ns.order < 0:
+        raise ValueError("order must be nonnegative")
+    if ns.order > MAX_ORDER:
+        raise ValueError("order must be at most %d" % MAX_ORDER)
+    if not reduced:
+        setup = None
+    elif ns.mode == "flat":
+        setup = flat_setup(ns.dim)
+    elif ns.mode == "radial-linear":
+        setup = radial_setup(RadialConstraint.linear(ns.mu), ns.dim)
+    else:
+        setup = radial_setup(RadialConstraint.quadratic(ns.mu), ns.dim)
+    return (setup, parse_expression(ns.f, ns.mode, ns.dim),
+            parse_expression(ns.g, ns.mode, ns.dim))
 
 
 def _emit_series(ns, series):
@@ -479,17 +461,14 @@ def _emit_series(ns, series):
 
 
 def cmd_star(ns):
-    cfg = _config(ns)
-    f, g = cfg.parse(ns.f), cfg.parse(ns.g)
-    product = moyal_product if cfg.mode == "flat" else wick_product
-    return _emit_series(ns, product(f, g, cfg.order))
+    _, f, g = _product_inputs(ns, reduced=False)
+    product = moyal_product if ns.mode == "flat" else wick_product
+    return _emit_series(ns, product(f, g, ns.order))
 
 
 def cmd_reduce(ns):
-    cfg = _config(ns)
-    setup = cfg.setup()
-    f, g = cfg.parse(ns.f), cfg.parse(ns.g)
-    return _emit_series(ns, reduce_star(setup, f, g, cfg.order))
+    setup, f, g = _product_inputs(ns, reduced=True)
+    return _emit_series(ns, reduce_star(setup, f, g, ns.order))
 
 
 def cmd_coeffs(ns):

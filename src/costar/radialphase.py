@@ -22,7 +22,6 @@ which already makes the stored form canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -248,17 +247,16 @@ def is_homogeneous(f):
     return f.euler_e().is_zero() and f.euler_ebar().is_zero()
 
 
-@dataclass(frozen=True)
 class RadialConstraint:
     """Radial constraint J(u) with regular zero on the sphere u = -2*mu."""
 
-    kind: str
-    mu: Fraction
+    __slots__ = ("kind", "mu")
 
-    def __post_init__(self):
-        if self.kind not in ("linear", "quadratic"):
+    def __init__(self, kind, mu):
+        if kind not in ("linear", "quadratic"):
             raise ValueError("constraint kind must be 'linear' or 'quadratic'")
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        self.kind = kind
+        self.mu = Fraction(mu)
         if self.mu >= 0:
             raise ValueError("mu must be negative")
         a = self.sphere_u

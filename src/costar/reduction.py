@@ -27,9 +27,6 @@ in place of the kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from .scalar import LambdaSeries, kernel_series
 from . import flatphase
 from . import radialphase
@@ -43,29 +40,29 @@ def identity(x):
     return x
 
 
-@dataclass(frozen=True)
 class PhaseSetup:
     """A phase space with constraint, product kernels and classical maps.
 
     kernel(f, g, r) is the order-r bidifferential product term; prol and
     pij satisfy f = prol(f) + pij(f) * j with prol(j) = 0, and
     bracket is the Poisson bracket generating kernel antisymmetry at
-    order one.
+    order one.  one and zero are the unit and zero of j's algebra.
     """
 
-    label: str
-    j: object
-    kernel: Callable
-    prol: Callable
-    pij: Callable
-    bracket: Callable
-    one: object
-    zero: object
+    __slots__ = ("label", "j", "kernel", "prol", "pij", "bracket", "one", "zero")
 
-    def __post_init__(self):
-        if not self.prol(self.j).is_zero():
+    def __init__(self, label, j, kernel, prol, pij, bracket):
+        self.label = label
+        self.j = j
+        self.kernel = kernel
+        self.prol = prol
+        self.pij = pij
+        self.bracket = bracket
+        self.one = type(j).one(j.dim)
+        self.zero = type(j).zero(j.dim)
+        if not prol(j).is_zero():
             raise ValueError("constraint must vanish on the reduced space")
-        if self.pij(self.j) != self.one:
+        if pij(j) != self.one:
             raise ValueError("difference quotient must send the constraint to 1")
 
     def as_series(self, f, order):
@@ -87,8 +84,6 @@ def flat_setup(n):
         prol=flatphase.prol,
         pij=flatphase.pij,
         bracket=flatphase.poisson,
-        one=flatphase.FlatPoly.one(n),
-        zero=flatphase.FlatPoly.zero(n),
     )
 
 
@@ -101,16 +96,16 @@ def radial_setup(constraint, dim):
         prol=lambda f: radialphase.prol(f, constraint),
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
-        one=radialphase.RadialFun.one(dim),
-        zero=radialphase.RadialFun.zero(dim),
     )
 
 
-@dataclass(frozen=True)
 class OperatorSeries:
     """A formal series of linear operators, one per order in the parameter."""
 
-    ops: tuple
+    __slots__ = ("ops",)
+
+    def __init__(self, ops):
+        self.ops = ops
 
     @property
     def order(self):
@@ -255,40 +250,22 @@ def is_in_b_cap_f(setup, f):
     return setup.vanishes_on_c(setup.bracket(setup.j, f))
 
 
-class Intertwiner:
-    """Equivalence S between star products, as an operator series with
-    unit leading term; the reduced product is conjugated through it.
-    None stands for the identity at every order."""
-
-    def __init__(self, ops=None):
-        if ops is not None and ops.ops[0] is not identity:
-            raise ValueError("intertwiner must start at the identity")
-        self.ops = ops
-
-    @staticmethod
-    def identity_map():
-        return Intertwiner(None)
-
-    @staticmethod
-    def closed_form(ops):
-        return Intertwiner(ops)
-
-    def apply(self, series):
-        return series if self.ops is None else self.ops.apply(series)
-
-    def apply_inverse(self, series):
-        return series if self.ops is None else self.ops.apply_inverse(series)
-
-
 def reduce_star_series(setup, fs, gs, intertwiner=None):
     """Bilinear extension of the reduced product to truncated series.
 
     The coefficients are assumed admissible; no membership check is done
-    here, so element inputs should go through reduce_star instead.
+    here, so element inputs should go through reduce_star instead.  The
+    intertwiner S is an OperatorSeries starting at the identity, or None
+    for S = id.
     """
-    s = intertwiner or Intertwiner.identity_map()
-    ambient = star_series(setup, s.apply(fs), s.apply(gs))
-    return s.apply_inverse(transfer_series(setup, ambient).map(setup.prol))
+    if intertwiner is None:
+        s = s_inverse = identity
+    elif intertwiner.ops[0] is not identity:
+        raise ValueError("intertwiner must start at the identity")
+    else:
+        s, s_inverse = intertwiner.apply, intertwiner.apply_inverse
+    ambient = star_series(setup, s(fs), s(gs))
+    return s_inverse(transfer_series(setup, ambient).map(setup.prol))
 
 
 def reduce_star(setup, f, g, order, intertwiner=None):
@@ -310,9 +287,9 @@ def reduce_star(setup, f, g, order, intertwiner=None):
 
 
 def verify_intertwiner(setup, intertwiner, f, g, order):
-    """Check S(f x g) = S(f) * S(g) modulo the left star ideal."""
-    fs = intertwiner.apply(setup.as_series(f, order))
-    gs = intertwiner.apply(setup.as_series(g, order))
-    ambient = star_series(setup, fs, gs)
+    """Check S(f x g) = S(f) * S(g) modulo the left star ideal; the
+    intertwiner S is an OperatorSeries or None, as in reduce_star_series."""
+    s = identity if intertwiner is None else intertwiner.apply
     reduced = reduce_star(setup, f, g, order, intertwiner)
-    return in_istar(setup, ambient - intertwiner.apply(reduced))
+    fs, gs = s(setup.as_series(f, order)), s(setup.as_series(g, order))
+    return in_istar(setup, star_series(setup, fs, gs) - s(reduced))

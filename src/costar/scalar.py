@@ -644,6 +644,9 @@ class UPoly:
     def is_zero(self):
         return not self._re
 
+    def __bool__(self):
+        return bool(self._re)
+
     def degree(self):
         return len(self._re) - 1
 
@@ -925,6 +928,9 @@ class RadialRational:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num)
 
     def __add__(self, other):
         if type(other) is not RadialRational:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -442,9 +446,24 @@ def test_size_caps_exit_2(capsys, argv, message):
 def test_size_caps_admit_benchmark_inputs():
     # the benchmark reaches order 8, dim 3 and 8x8 tables
     assert cli.MAX_ORDER >= 8 and cli.MAX_DIM >= 3 and cli.MAX_TABLE >= 8
-    cli.RunConfig("flat", cli.MAX_DIM, cli.MAX_ORDER, Fraction(-1, 2))
+    assert main(["reduce", "--mode", "flat", "--dim", str(cli.MAX_DIM),
+                 "--order", str(cli.MAX_ORDER), "q1", "p1"]) == 0
     top = "u^%d" % cli.MAX_EXPONENT
     assert parse_expression(top, "radial-linear", 1) == \
         RadialFun.from_radial(RadialRational.u_power(cli.MAX_EXPONENT), 1)
     binomial = parse_expression("(q1 + p1)^%d" % cli.MAX_EXPONENT, "flat", 1)
     assert len(binomial.terms) == cli.MAX_EXPONENT + 1
+
+
+def test_engine_import_loads_no_dataclasses_inspect_or_typing():
+    # the engine is plain classes over the standard library; these modules
+    # would add thousands of objects to every import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, costar.cli; print(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

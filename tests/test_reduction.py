@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +7,9 @@ from hypothesis import given, strategies as st
 from costar.flatphase import FlatPoly
 from costar.radialphase import RadialConstraint, RadialFun, RadialRational, UPoly
 from costar.reduction import (
-    Intertwiner,
     MembershipError,
     OperatorSeries,
+    PhaseSetup,
     decompose_deformed,
     flat_setup,
     identity,
@@ -19,6 +18,7 @@ from costar.reduction import (
     is_in_b_cap_f,
     radial_setup,
     reduce_star,
+    reduce_star_series,
     star_elements,
     star_series,
     transfer_ops,
@@ -275,19 +275,56 @@ def test_verify_identity_intertwiner(setup):
         g = FlatPoly.q(1, 2)
     else:
         f, g = HOMOG[1], HOMOG[2]
-    s = Intertwiner.identity_map()
-    assert verify_intertwiner(setup, s, f, g, 3)
+    assert verify_intertwiner(setup, None, f, g, 3)
 
 
 def test_verify_nontrivial_intertwiner():
+    # E kills homogeneous functions, so only the u term tells S^{-1} from id
     setup = radial_setup(RadialConstraint.linear(-HALF), 2)
-    ops = OperatorSeries((identity,
-                          lambda f: f.euler_e(),
-                          lambda f: RadialFun.zero(2)))
-    s = Intertwiner.closed_form(ops)
-    assert verify_intertwiner(setup, s, HOMOG[1], HOMOG[3], 2)
-    with pytest.raises(ValueError, match="identity"):
-        Intertwiner.closed_form(OperatorSeries((lambda f: f, identity)))
+    u, zero = RadialFun.u(2), RadialFun.zero(2)
+    for first in (lambda f: f.euler_e(), lambda f: f * u):
+        ops = OperatorSeries((identity, first, lambda f: zero))
+        assert verify_intertwiner(setup, ops, HOMOG[1], HOMOG[3], 2)
+
+
+def rebuilt(setup, **changed):
+    # the setup with some of its maps replaced; the checks run again
+    fields = dict(label=setup.label, j=setup.j, kernel=setup.kernel,
+                  prol=setup.prol, pij=setup.pij, bracket=setup.bracket)
+    fields.update(changed)
+    return PhaseSetup(**fields)
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_phase_setup_checks_its_maps(setup):
+    assert rebuilt(setup).one == setup.one == type(setup.j).one(setup.j.dim)
+    assert setup.zero.is_zero() and setup.zero.dim == setup.j.dim
+    with pytest.raises(ValueError, match="constraint must vanish on the reduced space"):
+        rebuilt(setup, prol=identity)
+    with pytest.raises(ValueError, match="difference quotient must send the constraint to 1"):
+        rebuilt(setup, pij=lambda f: setup.pij(f).scale(2))
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_intertwiner_must_start_at_identity(setup):
+    # a non-identity leading term is refused before any kernel call
+    calls = Counter()
+
+    def kernel(f, g, r):
+        calls[r] += 1
+        return setup.kernel(f, g, r)
+
+    counted = rebuilt(setup, kernel=kernel)
+    bad = OperatorSeries((lambda f: f, identity))
+    one = setup.as_series(setup.one, 1)
+    message = "intertwiner must start at the identity"
+    with pytest.raises(ValueError, match=message):
+        reduce_star_series(counted, one, one, bad)
+    with pytest.raises(ValueError, match=message):
+        reduce_star(counted, setup.one, setup.one, 1, bad)
+    with pytest.raises(ValueError, match=message):
+        verify_intertwiner(counted, bad, setup.one, setup.one, 1)
+    assert not calls
 
 
 def paper_transfer(setup, n, f):
@@ -355,7 +392,7 @@ def test_transfer_series_call_counts(setup):
         calls["pij"] += 1
         return setup.pij(f)
 
-    counted = dataclasses.replace(setup, kernel=kernel, pij=pij)
+    counted = rebuilt(setup, kernel=kernel, pij=pij)
     a = sample_series(setup, 4)
     for n in range(5):
         calls.clear()
@@ -380,7 +417,7 @@ def test_transfer_ops_apply_call_counts(setup):
         calls["pij"] += 1
         return setup.pij(f)
 
-    counted = dataclasses.replace(setup, kernel=kernel, pij=pij)
+    counted = rebuilt(setup, kernel=kernel, pij=pij)
     base = sample_series(setup, 4)
     a = LambdaSeries(tuple(base[m % 5].scale(m + 1) for m in range(9)))
     for n in range(9):
@@ -401,7 +438,7 @@ def test_star_elements_call_counts(setup):
         calls[r] += 1
         return setup.kernel(f, g, r)
 
-    counted = dataclasses.replace(setup, kernel=kernel)
+    counted = rebuilt(setup, kernel=kernel)
     f = sample_series(setup, 0)[0]
     for n in range(7):
         calls.clear()

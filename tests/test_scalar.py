@@ -412,6 +412,16 @@ def test_upoly_and_radial_hash_agree_with_equality(c, p):
     assert len({r, p}) == 1
 
 
+@given(gauss_polys, nonzero_upolys)
+def test_upoly_and_radial_truth_is_nonzero(p, d):
+    # false exactly for zero, as for GaussianRational
+    assert not UPoly() and not UPoly((0, 0)) and not RadialRational(UPoly())
+    assert bool(p) is not p.is_zero()
+    r = RadialRational(p, d)
+    assert bool(r) is not r.is_zero()
+    assert UPoly.u(3) and RadialRational.u_power(-1) and RadialRational.of(I)
+
+
 def test_negative_power_of_u():
     with pytest.raises(ValueError, match="nonnegative"):
         UPoly.u(-1)
