@@ -5,7 +5,9 @@ operations every higher layer of the engine reduces to, UPoly mul on the
 small real operands (degree 0 to 4) that a reduction on the sphere
 multiplies, and RadialRational
 construction and derivative over the denominators a reduction on the
-sphere builds: u^a, and u^a (u - 2mu)^b with 2mu = -3 or -1.  Prints one
+sphere builds: u^a, and u^a (u - 2mu)^b with 2mu = -3 or -1, and the sum
+of two RadialRational over one such u^a (u - 2mu)^b, which the transfer
+series adds up most.  Prints one
 JSON line: for each operation the best per-call time in nanoseconds over
 --repeat timed passes.  The derivative rows include the hits of its cache
 of denominator splits after the first pass, as a reduction does.  Only the
@@ -86,6 +88,22 @@ def radial_pairs(rng, shifted):
     return out
 
 
+def same_den_pairs(rng):
+    # (a, b) in canonical form over one den = u^a (u - 2mu)^b, whose sum
+    # goes through the constructor with that den
+    out = []
+    for _ in range(RADIALS):
+        shift = UPoly((rng.choice((1, 3)), 1))
+        den = UPoly.u(rng.randint(1, 6)) * shift ** rng.randint(1, 3)
+        pair = []
+        while len(pair) < 2:
+            r = RadialRational(_rational_poly(rng, rng.randint(0, 4)), den)
+            if r.den == den:
+                pair.append(r)
+        out.append(tuple(pair))
+    return out
+
+
 def _derivative_pairs(pairs):
     return [(RadialRational(num, den), None) for num, den in pairs]
 
@@ -100,6 +118,7 @@ def cases(seed):
     rng = Random(seed)
     upow, shifted = radial_pairs(rng, False), radial_pairs(rng, True)
     small = [_small_real_poly(rng) for _ in range(SMALL_POLYS)]
+    same_den = same_den_pairs(rng)
     return {
         "gaussian_add": (lambda a, b: a + b, _pairs(scalars)),
         "gaussian_mul": (lambda a, b: a * b, _pairs(scalars)),
@@ -110,6 +129,7 @@ def cases(seed):
         "upoly_gcd": (lambda a, b: a.gcd(b), gcd_pairs),
         "radial_new_u": (RadialRational, upow),
         "radial_new_u_shift": (RadialRational, shifted),
+        "radial_add_same_den": (lambda a, b: a + b, same_den),
         "radial_derivative_u": (lambda f, _: f.derivative(), _derivative_pairs(upow)),
         "radial_derivative_u_shift": (lambda f, _: f.derivative(),
                                       _derivative_pairs(shifted)),

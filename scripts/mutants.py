@@ -49,6 +49,9 @@ T_DIVMOD = "tests/test_scalar.py::test_upoly_divmod_and_gcd"
 T_REF = "tests/test_scalar.py::test_upoly_matches_reference"
 T_QUAD = "tests/test_cpn.py::test_quadratic_table_frozen_values"
 T_CELLS = "tests/test_cpn.py::test_b_coeff_engine_reads_table_cells"
+T_RADIAL_REF = "tests/test_scalar.py::test_radial_rational_matches_full_gcd_reference"
+T_J_RADIAL = "tests/test_reduction.py::test_radial_j_kernel_matches_wick_kernel"
+T_J_FLAT = "tests/test_reduction.py::test_flat_j_kernel_matches_moyal_kernel"
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -103,6 +106,23 @@ MUTANTS = [
      "out.append((nk, r.scale(e)))",
      "out.append((nk, r))",
      [T_DERIV]),
+    # the kernel against the constraint in closed form
+    ("falling factorial drops its shift", RADIAL,
+     "e = sum(key[Z]) - s",
+     "e = sum(key[Z])",
+     [T_J_RADIAL]),
+    ("J^(r) taken one derivative short", RADIAL,
+     "        j = j.derivative()\n",
+     "        j = j.derivative() if r else j\n",
+     [T_J_RADIAL]),
+    ("factor 2^r/r! dropped", RADIAL,
+     "parts.append(j.scale(Fraction(2 ** r, factorial(r))))",
+     "parts.append(j)",
+     [T_J_RADIAL]),
+    ("flat kernel against p_n reads d/dp_n", FLAT,
+     "return f.partial(f.dim - 1).scale(HALF_I)",
+     "return f.partial(2 * f.dim - 1).scale(HALF_I)",
+     [T_J_FLAT]),
     # forward substitution
     ("apply_inverse adds for subtracts", REDUCTION,
      "acc = acc - self.ops[k](h[m - k])",
@@ -133,7 +153,16 @@ MUTANTS = [
     ("valuation off by one", SCALAR,
      "            if c or im and im[k]:\n                return k\n",
      "            if c or im and im[k]:\n                return k + 1\n",
-     [T_GCD, T_EXACT]),
+     [T_GCD, T_EXACT, T_RADIAL_REF]),
+    # RadialRational's cancellation by valuation and against the radical
+    ("radical cancel loop runs once", SCALAR,
+     "while g.degree() > 0:",
+     "if g.degree() > 0:",
+     [T_RADIAL_REF]),
+    ("u valuation cancel takes max for min", SCALAR,
+     "k = min(num._valuation(), den._valuation())",
+     "k = max(num._valuation(), den._valuation())",
+     [T_RADIAL_REF]),
     # UPoly's integer arithmetic over one denominator
     ("complex product cross term sign flipped", SCALAR,
      "re[k] += x * y - xi * yi",

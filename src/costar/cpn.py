@@ -52,7 +52,7 @@ def transfer_kernel(setup):
     """
 
     def k(f):
-        return -setup.kernel(setup.pij(f), setup.j, 1)
+        return -setup.j_kernel(setup.pij(f), 1)
 
     return k
 
@@ -138,7 +138,7 @@ def pr_letters(setup):
     R(f) = -M_2(pi_J f, J)."""
 
     def r(f):
-        return -setup.kernel(setup.pij(f), setup.j, 2)
+        return -setup.j_kernel(setup.pij(f), 2)
 
     return transfer_kernel(setup), r
 

@@ -140,6 +140,19 @@ def moyal_kernel(f, g, r):
     return pairing_kernel(f, g, r, _moyal_pairs(n), caps, HALF_I)
 
 
+def pn_kernel(f, r):
+    """The Moyal kernel against the constraint, M_r(f, p_n): f p_n at
+    r = 0, (i/2) df/dq^n at r = 1, and zero above, since p_n has one
+    nonzero derivative, by p_n, which pairs with d/dq^n on f."""
+    if r < 0:
+        raise ValueError("kernel order must be nonnegative")
+    if r == 0:
+        return f * FlatPoly.p(f.dim, f.dim)
+    if r == 1:
+        return f.partial(f.dim - 1).scale(HALF_I)
+    return FlatPoly.zero(f.dim)
+
+
 def moyal_product(f, g, order):
     """Star product of f and g as a series truncated at the given order."""
     return kernel_series(moyal_kernel, f, g, order)

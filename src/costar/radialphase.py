@@ -50,10 +50,6 @@ class ParityError(ValueError):
     """A term of odd monomial degree fed into a radial-only operation."""
 
 
-def _term_parity(key):
-    return (sum(key[0]) + sum(key[1])) % 2
-
-
 def _bump(exps, idx, step):
     return exps[:idx] + (exps[idx] + step,) + exps[idx + 1:]
 
@@ -268,11 +264,11 @@ class RadialConstraint:
 
     @staticmethod
     def linear(mu):
-        return RadialConstraint("linear", Fraction(mu))
+        return RadialConstraint("linear", mu)
 
     @staticmethod
     def quadratic(mu):
-        return RadialConstraint("quadratic", Fraction(mu))
+        return RadialConstraint("quadratic", mu)
 
     @property
     def sphere_u(self):
@@ -290,7 +286,7 @@ class RadialConstraint:
 
 def _require_even(f, op):
     for key in f.terms:
-        if _term_parity(key):
+        if (sum(key[0]) + sum(key[1])) % 2:
             raise ParityError(
                 "%s needs even terms; found odd monomial degree in %r" % (op, key)
             )
@@ -373,6 +369,51 @@ def wick_kernel(f, g, r):
     no multi-index entry exceeds r.
     """
     return pairing_kernel(f, g, r, _wick_pairs(f.dim), (r,) * f.dim, 2)
+
+
+def constraint_kernel(constraint):
+    """The Wick kernel against the constraint, (f, r) -> M_r(f, J).
+
+    J depends on z only through u, so d_zbar^s J = z^s J^(|s|)(u) and
+
+        M_r(f, J) = (2^r/r!) J^(r)(u) sum_{|s|=r} (r!/s!) z^s d_z^s f
+                  = (2^r/r!) J^(r)(u) E(E-1)...(E-r+1) f,
+
+    the falling factorial of the Euler operator E.  It is zero for
+    r > deg J, where no derivative of f is taken.  z^i and d/dz^i obey the
+    same relations on the stored terms, with u a letter of its own, as
+    they do on functions.  So where E spells u R' as the product rule
+    does, R' at the key raised by z^i zbar^i for each i, the stored terms
+    equal those of wick_kernel(f, J, r).  euler_e spells it as u R' at the
+    key instead, which restrict keeps apart from the sum.
+    """
+    j, parts = constraint.j_radial(), []
+    # parts[r] = (2^r/r!) J^(r) for r = 0..deg J
+    for r in range(j.num.degree() + 1):
+        parts.append(j.scale(Fraction(2 ** r, factorial(r))))
+        j = j.derivative()
+
+    def kernel(f, r):
+        if r < 0:
+            raise ValueError("kernel order must be nonnegative")
+        if r >= len(parts):
+            return RadialFun.zero(f.dim)
+        for s in range(r):
+            # E - s: (|alpha| - s) R at the key, and R' at each raised key
+            out = []
+            for key, c in f.terms.items():
+                e = sum(key[Z]) - s
+                if e:
+                    out.append((key, c.scale(e)))
+                dc = c.derivative()
+                if dc:
+                    alpha, beta = key
+                    for i in range(f.dim):
+                        out.append(((_bump(alpha, i, 1), _bump(beta, i, 1)), dc))
+            f = RadialFun(f.dim, out)
+        return f * parts[r]
+
+    return kernel
 
 
 def wick_product(f, g, order):

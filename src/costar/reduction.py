@@ -13,9 +13,9 @@ T fixes prolonged functions and the constraint, and straightens the left
 star ideal: T(f * J) = f J order by order.  The recursion makes T the
 inverse of 1 + D with (D a)_m = sum_{k>=1} M_k(pi_J(a_{m-k}), J), so
 transfer_series solves h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J)
-forward for h = T(a): n pi_J and n(n+1)/2 kernel calls at order n, where
-the unfolded recursion makes a number exponential in n.  transfer_ops
-reads each T_n(f) off one such run per input f.  The reduced
+forward for h = T(a): n pi_J and n(n+1)/2 calls of the kernel against J
+at order n, where the unfolded recursion makes a number exponential in n.
+transfer_ops reads each T_n(f) off one such run per input f.  The reduced
 product of two functions on C is then
 
     f x g = S^{-1}( prol( T( S(f) * S(g) ) ) )
@@ -43,18 +43,22 @@ def identity(x):
 class PhaseSetup:
     """A phase space with constraint, product kernels and classical maps.
 
-    kernel(f, g, r) is the order-r bidifferential product term; prol and
-    pij satisfy f = prol(f) + pij(f) * j with prol(j) = 0, and
-    bracket is the Poisson bracket generating kernel antisymmetry at
-    order one.  one and zero are the unit and zero of j's algebra.
+    kernel(f, g, r) is the order-r bidifferential product term, and
+    j_kernel(f, r) equals kernel(f, j, r) in a closed form, which the
+    transfer series runs on; prol and pij satisfy f = prol(f) + pij(f) * j
+    with prol(j) = 0, and bracket is the Poisson bracket generating kernel
+    antisymmetry at order one.  one and zero are the unit and zero of j's
+    algebra.
     """
 
-    __slots__ = ("label", "j", "kernel", "prol", "pij", "bracket", "one", "zero")
+    __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "bracket",
+                 "one", "zero")
 
-    def __init__(self, label, j, kernel, prol, pij, bracket):
+    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket):
         self.label = label
         self.j = j
         self.kernel = kernel
+        self.j_kernel = j_kernel
         self.prol = prol
         self.pij = pij
         self.bracket = bracket
@@ -81,6 +85,7 @@ def flat_setup(n):
         label="flat-%d" % n,
         j=flatphase.FlatPoly.p(n, n),
         kernel=flatphase.moyal_kernel,
+        j_kernel=flatphase.pn_kernel,
         prol=flatphase.prol,
         pij=flatphase.pij,
         bracket=flatphase.poisson,
@@ -93,6 +98,7 @@ def radial_setup(constraint, dim):
         label="radial-%s-%d" % (constraint.kind, dim),
         j=constraint.j(dim),
         kernel=radialphase.wick_kernel,
+        j_kernel=radialphase.constraint_kernel(constraint),
         prol=lambda f: radialphase.prol(f, constraint),
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
@@ -148,7 +154,7 @@ class _TransferRun:
 
     push(a_m) returns h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J).
     pi_J(h_{m-1}) is taken when a_m is pushed, so a run of n + 1 orders
-    makes n pij and n(n+1)/2 kernel calls.  It is not an apply_inverse of
+    makes n pij and n(n+1)/2 j_kernel calls.  It is not an apply_inverse of
     1 + D, which would run one pij per kernel call.
     """
 
@@ -164,7 +170,7 @@ class _TransferRun:
         if m:
             self.quotients.append(setup.pij(self.h[-1]))
         for k in range(1, m + 1):
-            a = a - setup.kernel(self.quotients[m - k], setup.j, k)
+            a = a - setup.j_kernel(self.quotients[m - k], k)
         self.h.append(a)
         return a
 
@@ -180,7 +186,7 @@ def transfer_ops(setup, order):
 
     All operators share one run of that substitution per input f, kept
     for as long as the returned series lives, so apply at order n makes
-    sum_j (n-j)(n-j+1)/2 kernel and sum_j (n-j) pij calls.
+    sum_j (n-j)(n-j+1)/2 j_kernel and sum_j (n-j) pij calls.
     """
     runs = {}
 

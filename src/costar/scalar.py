@@ -782,7 +782,7 @@ class UPoly:
                 raise ValueError("polynomial division is not exact")
             oi = other._im
             if oi is None and other._re[k] == other._den == 1:
-                return _reduced(re[k:], None if im is None else im[k:], self._den, 1)
+                return self._lower(k)
             return _over(re[k:], None if im is None else im[k:], other._den,
                          self._den, other._re[k], 0 if oi is None else oi[k])
         q, r = self.divmod(other)
@@ -795,6 +795,11 @@ class UPoly:
         if not re or re[-1] == self._den and (im is None or not im[-1]):
             return self
         return _over(re, im, 1, 1, re[-1], 0 if im is None else im[-1])
+
+    def _lower(self, k):
+        # self / u**k, for k <= the valuation: the content is unchanged
+        im = self._im
+        return _reduced(self._re[k:], None if im is None else im[k:], self._den, 1)
 
     def _valuation(self):
         """v_u: the power of u dividing self, i.e. its count of leading zero
@@ -887,6 +892,19 @@ class RadialRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
+        """num/den in canonical form, cancelled without a gcd of num and den.
+
+        u**min(v_u num, v_u den) goes by valuation.  After that u divides
+        at most one of them, so every common irreducible p divides
+        rest = den/u**v_u(den) and its square-free part rad (Yun 1976,
+        cached in _radical_split).  So p divides g = gcd(num, rad), exactly
+        once.  Dividing both by g, a p still common to num and den divided
+        the old ones too, so it divides g and hence
+        gcd(num, gcd(g, den)), the next g.  The loop ends when that is
+        constant, at which point gcd(num, den) = 1.  Each gcd has an operand
+        of degree <= deg rad, which is 1 or 2 on the sphere's denominators
+        u^a (u - 2mu)^b.
+        """
         if type(num) is not UPoly:
             num = UPoly.of(num)
         if type(den) is not UPoly:
@@ -897,9 +915,16 @@ class RadialRational:
             self.num, self.den = UPoly(), UPoly.of(1)
             return
         if num.degree() > 0 and den.degree() > 0:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
+            k = min(num._valuation(), den._valuation())
+            if k:
+                num, den = num._lower(k), den._lower(k)
+            v = den._valuation()
+            if num.degree() > 0 and den.degree() > v:
+                rest = den._lower(v) if v else den
+                g = num.gcd(_radical_split(rest.monic())[0])
+                while g.degree() > 0:
+                    num, den = num.exact_div(g), den.exact_div(g)
+                    g = num.gcd(den.gcd(g))
         # monic returns a monic den itself, and then num needs no scaling
         monic = den.monic()
         if monic is not den:

@@ -17,7 +17,7 @@ def test_bench_scalar_prints_one_json_line():
     assert set(report["ns_per_op"]) == {
         "gaussian_add", "gaussian_mul", "gaussian_div",
         "upoly_mul", "upoly_mul_small_real", "upoly_divmod", "upoly_gcd",
-        "radial_new_u", "radial_new_u_shift",
+        "radial_new_u", "radial_new_u_shift", "radial_add_same_den",
         "radial_derivative_u", "radial_derivative_u_shift",
     }
     assert all(v > 0 for v in report["ns_per_op"].values())

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from costar.flatphase import FlatPoly
 from costar.radialphase import RadialConstraint, RadialFun, RadialRational, UPoly
@@ -290,7 +290,8 @@ def test_verify_nontrivial_intertwiner():
 def rebuilt(setup, **changed):
     # the setup with some of its maps replaced; the checks run again
     fields = dict(label=setup.label, j=setup.j, kernel=setup.kernel,
-                  prol=setup.prol, pij=setup.pij, bracket=setup.bracket)
+                  j_kernel=setup.j_kernel, prol=setup.prol, pij=setup.pij,
+                  bracket=setup.bracket)
     fields.update(changed)
     return PhaseSetup(**fields)
 
@@ -380,27 +381,36 @@ def test_transfer_inverse_is_one_plus_d(setup):
             assert u[k] == setup.kernel(setup.pij(f), setup.j, k)
 
 
-@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
-def test_transfer_series_call_counts(setup):
-    calls = Counter()
-
+def counted_maps(setup, calls):
+    # the setup with its kernel, j_kernel and pij counted into calls
     def kernel(f, g, r):
         calls["kernel"] += 1
         return setup.kernel(f, g, r)
+
+    def j_kernel(f, r):
+        calls["j_kernel"] += 1
+        return setup.j_kernel(f, r)
 
     def pij(f):
         calls["pij"] += 1
         return setup.pij(f)
 
-    counted = rebuilt(setup, kernel=kernel, pij=pij)
+    return rebuilt(setup, kernel=kernel, j_kernel=j_kernel, pij=pij)
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_series_call_counts(setup):
+    # the transfer runs on j_kernel alone, never on the general kernel
+    calls = Counter()
+    counted = counted_maps(setup, calls)
     a = sample_series(setup, 4)
     for n in range(5):
         calls.clear()
         transfer_series(counted, a.truncated(n))
-        assert calls == Counter(pij=n, kernel=n * (n + 1) // 2)
+        assert calls == Counter(pij=n, j_kernel=n * (n + 1) // 2)
         calls.clear()
         transfer_ops(counted, n).ops[n](a[0])
-        assert calls == Counter(pij=n, kernel=n * (n + 1) // 2)
+        assert calls == Counter(pij=n, j_kernel=n * (n + 1) // 2)
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
@@ -408,23 +418,14 @@ def test_transfer_ops_apply_call_counts(setup):
     # every T_k applied to one input reads the same run of the forward
     # substitution, so input a_j costs one run to order n - j
     calls = Counter()
-
-    def kernel(f, g, r):
-        calls["kernel"] += 1
-        return setup.kernel(f, g, r)
-
-    def pij(f):
-        calls["pij"] += 1
-        return setup.pij(f)
-
-    counted = rebuilt(setup, kernel=kernel, pij=pij)
+    counted = counted_maps(setup, calls)
     base = sample_series(setup, 4)
     a = LambdaSeries(tuple(base[m % 5].scale(m + 1) for m in range(9)))
     for n in range(9):
         calls.clear()
         got = transfer_ops(counted, n).apply(a.truncated(n))
         assert calls == Counter(
-            kernel=sum((n - j) * (n - j + 1) // 2 for j in range(n + 1)),
+            j_kernel=sum((n - j) * (n - j + 1) // 2 for j in range(n + 1)),
             pij=sum(n - j for j in range(n + 1)))
         assert got == transfer_series(setup, a.truncated(n))
 
@@ -446,6 +447,59 @@ def test_star_elements_call_counts(setup):
         assert calls == Counter(range(n + 1))
         want = star_series(setup, setup.as_series(f, n), setup.as_series(setup.j, n))
         assert got == want
+
+
+def radial_kernel_funs(dim):
+    # any monomials, over denominators with and without poles on the sphere
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    dens = st.sampled_from([UPoly.of(1), UPoly.u(2), UPoly((3, 1)),
+                            UPoly((0, 1)) * UPoly((1, 0, 1)), UPoly((-2, 1)) ** 2])
+    radials = st.builds(lambda cs, d: RadialRational(UPoly(cs), d),
+                        st.lists(gauss(), max_size=3), dens)
+    terms = st.lists(st.tuples(st.tuples(exps, exps), radials), max_size=3)
+    return terms.map(lambda ts: RadialFun(dim, ts))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["linear", "quadratic"]),
+       st.sampled_from([-HALF, -Fraction(3, 2), Fraction(-2)]),
+       st.sampled_from([1, 2, 3]).flatmap(radial_kernel_funs), st.integers(0, 5))
+def test_radial_j_kernel_matches_wick_kernel(kind, mu, f, r):
+    setup = radial_setup(RadialConstraint(kind, mu), f.dim)
+    got, want = setup.j_kernel(f, r), setup.kernel(f, setup.j, r)
+    # the same stored terms, not only the same function
+    assert got.terms == want.terms
+    assert got == want
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n), gauss()),
+    max_size=3).map(lambda ps: FlatPoly(n, ps))), st.integers(0, 5))
+def test_flat_j_kernel_matches_moyal_kernel(f, r):
+    setup = flat_setup(f.dim)
+    assert setup.j_kernel(f, r) == setup.kernel(f, setup.j, r)
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_j_kernel_takes_no_derivative_past_deg_j(monkeypatch, setup):
+    # M_r(f, J) = 0 for r > deg J, read off without a derivative of f
+    degree = 2 if setup.label.startswith("radial-quadratic") else 1
+    calls = Counter()
+    for cls, name in ((RadialFun, "_derivative"), (RadialRational, "derivative"),
+                      (FlatPoly, "partial")):
+        def counted(*args, original=getattr(cls, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for f in sample_series(setup, 4).coeffs:
+        for r in range(1, 6):
+            calls.clear()
+            got = setup.j_kernel(f, r)
+            if r > degree:
+                assert got.is_zero() and not calls
+            else:
+                assert calls and got == setup.kernel(f, setup.j, r)
 
 
 def test_apply_inverse_call_counts():

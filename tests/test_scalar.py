@@ -344,6 +344,7 @@ def _same(p, ref):
 
 
 gauss_polys = st.lists(gaussians, max_size=5).map(UPoly)
+nonzero_gauss_polys = gauss_polys.filter(bool)
 # c*u**k, the shape of most denominators on the sphere
 monomials = st.builds(lambda c, k: UPoly((0,) * k + (c,)),
                       nonzero_gaussians, st.integers(0, 6))
@@ -430,6 +431,7 @@ def test_negative_power_of_u():
     assert RadialRational.u_power(-2) * RadialRational.u_power(2) == 1
 
 
+@settings(max_examples=200)
 @given(monomials, u_multiples, st.booleans())
 def test_gcd_with_monomial_matches_euclid(m, p, swap):
     a, b = (p, m) if swap else (m, p)
@@ -480,6 +482,46 @@ def radial_rationals(draw):
     s = draw(gauss_polys)
     den = UPoly.u(a) * UPoly((-c, 1)) ** b * (UPoly.of(1) if s.is_zero() else s)
     return RadialRational(draw(gauss_polys), den)
+
+
+def _reference_radial(num, den):
+    # the canonical form by one full gcd of num and den and a monic den
+    g = num.gcd(den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num.scale(1 / den.lead()), den.monic()
+
+
+def _factored(num, den, roots, cyclotomic, exponents):
+    # num and den over u, u - c for rational and Gaussian c, and the
+    # irreducible u^2 + u + 1; num takes each factor k times for k below,
+    # equal to and above its exponent b in den
+    bases = [UPoly.u()] + [UPoly((-c, 1)) for c in roots]
+    if cyclotomic:
+        bases.append(UPoly((1, 1, 1)))
+    den = UPoly.of(den)
+    for base, (k, b) in zip(bases, exponents):
+        num, den = num * base ** k, den * base ** b
+    return num, den
+
+
+factored_fractions = st.builds(
+    _factored, gauss_polys, nonzero_gaussians,
+    st.lists(st.sampled_from([1, -3, Fraction(1, 2), Fraction(-3, 2), 2 + I, -I,
+                              GaussianRational(Fraction(2, 3), 1)]), max_size=2),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=4, max_size=4))
+
+
+@settings(max_examples=200)
+@given(factored_fractions, nonzero_gauss_polys)
+def test_radial_rational_matches_full_gcd_reference(fraction, h):
+    num, den = fraction
+    r = RadialRational(num, den)
+    assert (r.num, r.den) == _reference_radial(num, den)
+    # the same function spelled with a common factor: equal, and so hashed alike
+    s = RadialRational(num * h, den * h)
+    assert (s.num, s.den) == (r.num, r.den)
+    assert s == r and hash(s) == hash(r)
 
 
 @given(radial_rationals())
