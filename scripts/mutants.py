@@ -13,7 +13,8 @@ Each mutant changes one line.  Its source text may carry a neighbouring
 line as context, so that the text occurs exactly once in its file.  The
 script is standard library only; the tests need pytest and hypothesis.
 Hypothesis runs with a fixed seed and a fresh example database, so a run
-is repeatable.  It takes about two minutes on a 2-core machine.
+is repeatable.  Mutants are tested JOBS at a time, each in its own
+pytest process.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120  # seconds for the tests of one mutant
+JOBS = 2  # mutants tested at once: one per core of a 2-core machine
 
 FLAT = "costar/flatphase.py"
 RADIAL = "costar/radialphase.py"
@@ -52,6 +55,9 @@ T_CELLS = "tests/test_cpn.py::test_b_coeff_engine_reads_table_cells"
 T_RADIAL_REF = "tests/test_scalar.py::test_radial_rational_matches_full_gcd_reference"
 T_J_RADIAL = "tests/test_reduction.py::test_radial_j_kernel_matches_wick_kernel"
 T_J_FLAT = "tests/test_reduction.py::test_flat_j_kernel_matches_moyal_kernel"
+T_SUB = ("tests/test_flatphase.py::"
+         "test_difference_stores_the_terms_of_a_sum_with_the_negation")
+T_OBSTRUCT = "tests/test_cpn.py::test_obstruction_matches_four_reduced_products"
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -76,6 +82,10 @@ MUTANTS = [
      "        c = s + c\n    if c.is_zero():",
      "        c = s + c\n    if False:",
      [T_RING]),
+    ("difference merges c for -c", SCALAR,
+     "_merge(out, key, -c)",
+     "_merge(out, key, c)",
+     [T_SUB]),
     ("series builder drops the top order", SCALAR,
      "return LambdaSeries(tuple(kernel(f, g, r) for r in range(order + 1)))",
      "return LambdaSeries(tuple(kernel(f, g, r) for r in range(order)))",
@@ -205,6 +215,19 @@ MUTANTS = [
      "return _quadratic_row(k, l + 1, mu)[l]",
      "return _quadratic_row(k, l + 2, mu)[l + 1]",
      [T_CELLS]),
+    # the order-2 obstruction from one Wick commutator
+    ("obstruct commutator adds for subtracts", CPN,
+     "comm = wick_product(f, g, 2) - wick_product(g, f, 2)",
+     "comm = wick_product(f, g, 2) + wick_product(g, f, 2)",
+     [T_OBSTRUCT]),
+    ("obstruct transfers against lin twice", CPN,
+     "lhs = second(quad) - second(lin)",
+     "lhs = second(lin) - second(lin)",
+     [T_OBSTRUCT]),
+    ("obstruct reads order 1 of the transfer", CPN,
+     "return setup.prol(transfer_series(setup, comm)[2])",
+     "return setup.prol(transfer_series(setup, comm)[1])",
+     [T_OBSTRUCT]),
 ]
 
 
@@ -233,6 +256,22 @@ def run_tests(src, tests, workdir):
     return done.returncode == 0
 
 
+def judge(tmp, pristine, n, mutant):
+    """Apply mutant number n to a copy of the pristine source and run its
+    tests: "killed", "survived" or "STALE"."""
+    _, path, old, new, tests = mutant
+    src = Path(tmp) / ("m%d" % n)
+    shutil.copytree(pristine, src)
+    try:
+        if not apply_mutant(src, path, old, new):
+            return "STALE"
+        work = Path(tmp) / ("w%d" % n)
+        work.mkdir()
+        return "survived" if run_tests(src, tests, work) else "killed"
+    finally:
+        shutil.rmtree(src)
+
+
 def main():
     survivors = []
     with tempfile.TemporaryDirectory(prefix="costar-mutants-") as tmp:
@@ -243,19 +282,14 @@ def main():
         if not run_tests(pristine, every, tmp):
             print("the named tests fail on the unmutated source; nothing to measure")
             return 2
-        for n, (name, path, old, new, tests) in enumerate(MUTANTS):
-            src = Path(tmp) / ("m%d" % n)
-            shutil.copytree(pristine, src)
-            if not apply_mutant(src, path, old, new):
-                verdict = "STALE"
-            else:
-                work = Path(tmp) / ("w%d" % n)
-                work.mkdir()
-                verdict = "survived" if run_tests(src, tests, work) else "killed"
-            shutil.rmtree(src)
-            print("%-8s %s" % (verdict, name), flush=True)
-            if verdict != "killed":
-                survivors.append(name)
+        with ThreadPoolExecutor(JOBS) as pool:
+            # map yields the verdicts in the order of MUTANTS
+            verdicts = pool.map(lambda job: judge(tmp, pristine, *job),
+                                enumerate(MUTANTS))
+            for (name, *_), verdict in zip(MUTANTS, verdicts):
+                print("%-8s %s" % (verdict, name), flush=True)
+                if verdict != "killed":
+                    survivors.append(name)
     if survivors:
         print("%d of %d mutants not killed: %s"
               % (len(survivors), len(MUTANTS), "; ".join(survivors)))

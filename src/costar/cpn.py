@@ -18,9 +18,11 @@ so one pass h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0
 yields the first n cells of row k with 2n - 3 letter applications, where
 summing the Fibonacci-many words cell by cell costs exponentially many;
 pr_word_sum keeps the word sum as the independent oracle for the rows.
-The two tables differ at order two by a multiple of u {f,g}, which makes the two
-reduced products inequivalent deformations; the exact multiple is
-computed by obstruction_order2.
+At order two the antisymmetrized parts of the two reduced products differ
+by a multiple of u {f,g}, which makes them inequivalent deformations.
+obstruction_order2 computes the exact multiple; since T and prol are
+linear, it needs only the commutator f*g - g*f of the Wick products,
+transferred once per constraint.
 """
 
 from __future__ import annotations
@@ -39,8 +41,14 @@ from .radialphase import (
     restrict,
     scalar_ratio,
     wick_kernel,
+    wick_product,
 )
-from .reduction import MembershipError, radial_setup, reduce_star
+from .reduction import (
+    MembershipError,
+    radial_setup,
+    require_admissible,
+    transfer_series,
+)
 from .scalar import I, LambdaSeries, RadialRational
 
 
@@ -264,15 +272,24 @@ def obstruction_order2(f, g, mu):
     linear (x~) constraints, rhs = (i/2) a^{-2} u {f, g}, and ratio the
     scalar lhs / rhs.  A nonzero constant ratio off the exact class of the
     reduced symplectic form is what makes the two products inequivalent.
+
+    f x g = prol(T(f * g)) with T and prol linear, so for each constraint
+    (f x g - g x f)_2 = prol(T(f * g - g * f))_2: the Wick commutator is
+    built once and transferred once per constraint, and
+    lhs = prol(T(f*g - g*f))_2 - prol(T~(f*g - g*f))_2.  Both factors must
+    be admissible for both constraints, checked in the order reduce_star
+    would check them (left then right, quadratic first).
     """
     lin = radial_setup(RadialConstraint.linear(mu), f.dim)
     quad = radial_setup(RadialConstraint.quadratic(mu), f.dim)
     a = -2 * Fraction(mu)
+    require_admissible(quad, f, g)
+    require_admissible(lin, f, g)
+    comm = wick_product(f, g, 2) - wick_product(g, f, 2)
 
-    def second(setup, x, y):
-        return reduce_star(setup, x, y, 2)[2]
+    def second(setup):
+        return setup.prol(transfer_series(setup, comm)[2])
 
-    lhs = (second(quad, f, g) - second(lin, f, g)) \
-        - (second(quad, g, f) - second(lin, g, f))
+    lhs = second(quad) - second(lin)
     rhs = (RadialFun.u(f.dim) * poisson(f, g)).scale(I * Fraction(1, 2) / a ** 2)
     return lhs, rhs, scalar_ratio(lhs, rhs)

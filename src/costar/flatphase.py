@@ -85,7 +85,7 @@ class FlatPoly(TermRing):
             e = key[idx]
             if e:
                 _merge(out, key[:idx] + (e - 1,) + key[idx + 1:], c * e)
-        res = FlatPoly(self.dim, out)
+        res = FlatPoly._of_terms(self.dim, out)
         self._dcache[idx] = res
         return res
 
@@ -166,7 +166,7 @@ def prol(f):
     direction, so prol is a projection with prol(prol f) = prol f.
     """
     idx = 2 * f.dim - 1
-    return FlatPoly(f.dim, {k: c for k, c in f.terms.items() if k[idx] == 0})
+    return FlatPoly._of_terms(f.dim, {k: c for k, c in f.terms.items() if k[idx] == 0})
 
 
 def pij(f):
@@ -176,7 +176,7 @@ def pij(f):
     for key, c in f.terms.items():
         if key[idx]:
             out[key[:idx] + (key[idx] - 1,)] = c
-    return FlatPoly(f.dim, out)
+    return FlatPoly._of_terms(f.dim, out)
 
 
 def drop_last_pair(f):

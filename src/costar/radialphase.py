@@ -176,7 +176,7 @@ class RadialFun(TermRing):
             nr = r.scale(sum(key[side])) + u * r.derivative()
             if not nr.is_zero():
                 out[key] = nr
-        return RadialFun(self.dim, out)
+        return RadialFun._of_terms(self.dim, out)
 
     def common_denominator(self):
         den = UPoly.of(1)
@@ -311,14 +311,13 @@ def prol(f, constraint):
     """
     _require_even(f, "prolongation")
     a = constraint.sphere_u
-    out = []
-    for (alpha, beta), r in f.terms.items():
-        d = sum(alpha) + sum(beta)
+    out = {}
+    for key, r in f.terms.items():
+        d = sum(key[0]) + sum(key[1])
         val = r.eval(a) * GaussianRational.of(a ** (d // 2))
-        if val.is_zero():
-            continue
-        out.append(((alpha, beta), RadialRational.u_power(-(d // 2)).scale(val)))
-    return RadialFun(f.dim, out)
+        if not val.is_zero():
+            out[key] = RadialRational.u_power(-(d // 2)).scale(val)
+    return RadialFun._of_terms(f.dim, out)
 
 
 def pij(f, constraint):
@@ -331,15 +330,15 @@ def pij(f, constraint):
     g = f - prol(f, constraint)
     j = constraint.j_radial()
     a = constraint.sphere_u
-    out = []
+    out = {}
     for key, r in g.terms.items():
         q = r / j
         if q.den.eval(a).is_zero():
             raise PoleError(
                 "difference quotient left a pole at u = %s" % (a,)
             )
-        out.append((key, q))
-    return RadialFun(f.dim, out)
+        out[key] = q
+    return RadialFun._of_terms(f.dim, out)
 
 
 def vanishes_on_sphere(f, constraint):

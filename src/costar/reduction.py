@@ -274,6 +274,17 @@ def reduce_star_series(setup, fs, gs, intertwiner=None):
     return s_inverse(transfer_series(setup, ambient).map(setup.prol))
 
 
+def require_admissible(setup, f, g):
+    """Raise MembershipError naming the first of the left factor f and the
+    right factor g that is not admissible (is_in_b_cap_f)."""
+    for side, x in (("left", f), ("right", g)):
+        if not is_in_b_cap_f(setup, x):
+            raise MembershipError(
+                "%s factor is not an admissible function on the reduced space"
+                % side
+            )
+
+
 def reduce_star(setup, f, g, order, intertwiner=None):
     """The reduced product of two admissible functions, as a series.
 
@@ -281,12 +292,7 @@ def reduce_star(setup, f, g, order, intertwiner=None):
     on C; otherwise the construction is not well defined and a
     MembershipError is raised.
     """
-    for side, x in (("left", f), ("right", g)):
-        if not is_in_b_cap_f(setup, x):
-            raise MembershipError(
-                "%s factor is not an admissible function on the reduced space"
-                % side
-            )
+    require_admissible(setup, f, g)
     return reduce_star_series(
         setup, setup.as_series(f, order), setup.as_series(g, order), intertwiner
     )

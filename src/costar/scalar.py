@@ -77,6 +77,16 @@ class TermRing:
     def one(cls, dim):
         return cls.constant(1, dim)
 
+    @classmethod
+    def _of_terms(cls, dim, terms):
+        # trusted constructor: the keys of the dict terms are already in
+        # normal form and its values nonzero, so __init__'s pass is skipped
+        self = cls.__new__(cls)
+        self.dim = dim
+        self.terms = terms
+        self._dcache = {}
+        return self
+
     def _coerce(self, other):
         # a bare scalar stands for the constant function
         if type(other) is not type(self) and isinstance(
@@ -91,7 +101,7 @@ class TermRing:
         c = GaussianRational.of(c)
         if c.is_zero():
             return self.zero(self.dim)
-        return type(self)(self.dim, {k: v.scale(c) for k, v in self.terms.items()})
+        return self._of_terms(self.dim, {k: v.scale(c) for k, v in self.terms.items()})
 
     def _check(self, other):
         if not isinstance(other, type(self)):
@@ -118,13 +128,20 @@ class TermRing:
         out = dict(self.terms)
         for key, c in other.terms.items():
             _merge(out, key, c)
-        return type(self)(self.dim, out)
+        return self._of_terms(self.dim, out)
 
     def __neg__(self):
-        return type(self)(self.dim, {k: -c for k, c in self.terms.items()})
+        return self._of_terms(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._coerce(other)
+        self._check(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _merge(out, key, -c)
+        return self._of_terms(self.dim, out)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from costar import cpn
+from costar import cpn, radialphase
 from costar.cpn import (
     a_coeff_closed,
     a_coeff_engine,
@@ -20,6 +21,7 @@ from costar.cpn import (
     transfer_kernel,
 )
 from costar.radialphase import (
+    ParityError,
     RadialConstraint,
     RadialFun,
     poisson,
@@ -34,7 +36,7 @@ from costar.reduction import (
     reduce_star,
     transfer_ops,
 )
-from costar.scalar import GaussianRational, RadialRational, UPoly
+from costar.scalar import I, GaussianRational, RadialRational, UPoly
 
 HALF = Fraction(1, 2)
 
@@ -257,3 +259,93 @@ def test_obstruction_vanishes_on_commuting_pair():
     f = HOMOG[1]
     lhs, rhs, ratio = obstruction_order2(f, f, Fraction(-1, 2))
     assert lhs.is_zero() and rhs.is_zero() and ratio is None
+
+
+def degree_zero_funs(dim):
+    # sums of c z^alpha zbar^beta / u^k with |alpha| = |beta| = k <= 1 and
+    # Gaussian c: homogeneous of degree 0, so admissible for both constraints
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    keys = [((0,) * dim, (0,) * dim)] + [(a, b) for a in units for b in units]
+    gaussians = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    terms = st.lists(st.tuples(st.sampled_from(keys), gaussians),
+                     min_size=1, max_size=3)
+    return terms.map(lambda ts: RadialFun(dim, [
+        (key, RadialRational.u_power(-sum(key[0])).scale(c)) for key, c in ts]))
+
+
+def four_reduced_products(f, g, mu):
+    # the definition of lhs, term for term: four reduced products at order 2
+    lin = radial_setup(RadialConstraint.linear(mu), f.dim)
+    quad = radial_setup(RadialConstraint.quadratic(mu), f.dim)
+
+    def second(setup, x, y):
+        return reduce_star(setup, x, y, 2)[2]
+
+    return (second(quad, f, g) - second(lin, f, g)) \
+        - (second(quad, g, f) - second(lin, g, f))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda dim: st.tuples(degree_zero_funs(dim), degree_zero_funs(dim))),
+       st.sampled_from([-HALF, Fraction(-3, 2), Fraction(-2)]))
+def test_obstruction_matches_four_reduced_products(fg, mu):
+    f, g = fg
+    lhs, rhs, ratio = obstruction_order2(f, g, mu)
+    want = four_reduced_products(f, g, mu)
+    assert lhs.terms == want.terms
+    a = -2 * mu
+    want_rhs = (RadialFun.u(f.dim) * poisson(f, g)).scale(I * HALF / a ** 2)
+    assert rhs.terms == want_rhs.terms
+    assert ratio == scalar_ratio(want, want_rhs)
+
+
+def test_obstruction_call_counts(monkeypatch):
+    # one Wick commutator, M_0..M_2 on each side, and one order-2 transfer
+    # per constraint: 3 j_kernel and 2 pij calls each
+    calls = Counter()
+    wick, setup_of = radialphase.wick_kernel, cpn.radial_setup
+
+    def counted_wick(f, g, r):
+        calls["wick_kernel"] += 1
+        return wick(f, g, r)
+
+    def counted_setup(constraint, dim):
+        setup = setup_of(constraint, dim)
+        j_kernel, pij = setup.j_kernel, setup.pij
+
+        def counted_j_kernel(f, r):
+            calls[constraint.kind, "j_kernel"] += 1
+            return j_kernel(f, r)
+
+        def counted_pij(f):
+            calls[constraint.kind, "pij"] += 1
+            return pij(f)
+
+        setup.j_kernel, setup.pij = counted_j_kernel, counted_pij
+        return setup
+
+    monkeypatch.setattr(radialphase, "wick_kernel", counted_wick)
+    monkeypatch.setattr(cpn, "radial_setup", counted_setup)
+    _, _, ratio = obstruction_order2(HOMOG[2], HOMOG[3], -HALF)
+    assert ratio == GaussianRational(-2)
+    assert calls == Counter({
+        "wick_kernel": 6,
+        ("linear", "j_kernel"): 3, ("linear", "pij"): 2,
+        ("quadratic", "j_kernel"): 3, ("quadratic", "pij"): 2,
+    })
+
+
+def test_obstruction_rejects_what_reduce_star_rejects():
+    # the first inadmissible factor is named, as reduce_star names it
+    odd = RadialFun.z(1, 2)
+    setup = radial_setup(RadialConstraint.quadratic(-HALF), 2)
+    for f, g, err in [(RadialFun.u(2), HOMOG[1], MembershipError),
+                      (HOMOG[1], RadialFun.u(2), MembershipError),
+                      (odd, HOMOG[1], ParityError),
+                      (HOMOG[1], odd, ParityError)]:
+        with pytest.raises(err) as want:
+            reduce_star(setup, f, g, 2)
+        with pytest.raises(err) as got:
+            obstruction_order2(f, g, -HALF)
+        assert str(got.value) == str(want.value)

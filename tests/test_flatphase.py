@@ -16,7 +16,13 @@ from costar.flatphase import (
 )
 from costar.radialphase import RadialFun
 from costar.reduction import flat_setup
-from costar.scalar import AlgebraMismatchError, GaussianRational, I
+from costar.scalar import (
+    AlgebraMismatchError,
+    GaussianRational,
+    I,
+    RadialRational,
+    UPoly,
+)
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
@@ -65,6 +71,35 @@ def test_dimension_mismatch():
             f ** -1
         with pytest.raises(ValueError):
             f ** 1.5
+
+
+@st.composite
+def ring_pairs(draw):
+    # a and b in either algebra over a few keys, sharing some terms exactly,
+    # so that a - b cancels some keys outright and merges others
+    cls = draw(st.sampled_from([FlatPoly, RadialFun]))
+    dim = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 1)] * dim)
+    if cls is FlatPoly:
+        keys = st.tuples(exps, exps).map(lambda k: k[0] + k[1])
+        coeffs = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+    else:
+        keys = st.tuples(exps, exps)
+        coeffs = st.builds(lambda cs: RadialRational(UPoly(cs)),
+                           st.lists(st.integers(-2, 2), max_size=2))
+    terms = st.lists(st.tuples(keys, coeffs), max_size=4)
+    a = draw(terms)
+    b = a[:draw(st.integers(0, len(a)))] + draw(terms)
+    return cls(dim, a), cls(dim, b)
+
+
+@given(ring_pairs())
+def test_difference_stores_the_terms_of_a_sum_with_the_negation(ab):
+    a, b = ab
+    want = type(a)(a.dim, list(a.terms.items())
+                   + [(key, -c) for key, c in b.terms.items()])
+    assert (a - b).terms == want.terms
+    assert (a - a).terms == {}
 
 
 def test_partial_derivatives():
