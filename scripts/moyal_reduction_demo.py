@@ -11,7 +11,7 @@ import argparse
 from fractions import Fraction
 from random import Random
 
-from costar.cli import flat_text
+from costar.cli import fun_text
 from costar.flatphase import FlatPoly, drop_last_pair, moyal_product
 from costar.reduction import flat_setup, reduce_star
 from costar.scalar import GaussianRational
@@ -46,13 +46,13 @@ def main():
         reduced = reduce_star(setup, f, g, args.order)
         small = moyal_product(drop_last_pair(f), drop_last_pair(g), args.order)
         print("pair %d" % trial)
-        print("  f = %s" % flat_text(f))
-        print("  g = %s" % flat_text(g))
+        print("  f = %s" % fun_text(f))
+        print("  g = %s" % fun_text(g))
         agree = True
         for k in range(args.order + 1):
             got = drop_last_pair(reduced[k])
             agree = agree and got == small[k]
-            print("  order %d: %s" % (k, flat_text(got)))
+            print("  order %d: %s" % (k, fun_text(got)))
         print("  matches direct product: %s" % agree)
         print()
 

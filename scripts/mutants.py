@@ -58,6 +58,8 @@ T_J_FLAT = "tests/test_reduction.py::test_flat_j_kernel_matches_moyal_kernel"
 T_SUB = ("tests/test_flatphase.py::"
          "test_difference_stores_the_terms_of_a_sum_with_the_negation")
 T_OBSTRUCT = "tests/test_cpn.py::test_obstruction_matches_four_reduced_products"
+T_LETTERS = "tests/test_cpn.py::test_pr_letters_kernel_vs_euler"
+T_RUNS = "tests/test_reduction.py::test_transfer_ops_runs_outlive_their_inputs"
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -120,15 +122,15 @@ MUTANTS = [
     ("falling factorial drops its shift", RADIAL,
      "e = sum(key[Z]) - s",
      "e = sum(key[Z])",
-     [T_J_RADIAL]),
+     [T_J_RADIAL, T_LETTERS]),
     ("J^(r) taken one derivative short", RADIAL,
      "        j = j.derivative()\n",
      "        j = j.derivative() if r else j\n",
-     [T_J_RADIAL]),
+     [T_J_RADIAL, T_LETTERS]),
     ("factor 2^r/r! dropped", RADIAL,
      "parts.append(j.scale(Fraction(2 ** r, factorial(r))))",
      "parts.append(j)",
-     [T_J_RADIAL]),
+     [T_J_RADIAL, T_LETTERS]),
     ("flat kernel against p_n reads d/dp_n", FLAT,
      "return f.partial(f.dim - 1).scale(HALF_I)",
      "return f.partial(2 * f.dim - 1).scale(HALF_I)",
@@ -142,6 +144,10 @@ MUTANTS = [
      "return s_inverse(transfer_series(setup, ambient).map(setup.prol))",
      "return transfer_series(setup, ambient).map(setup.prol)",
      [T_INTERTWINER]),
+    ("transfer run holds a copy of its input", REDUCTION,
+     "run.push(f)",
+     "run.push(f.scale(1))",
+     [T_RUNS]),
     # the checks of a phase setup
     ("setup skips the prol(j) == 0 check", REDUCTION,
      "if not prol(j).is_zero():",

@@ -377,7 +377,7 @@ def fun_text(f):
     ])
 
 
-flat_text = radial_text = fun_text
+radial_text = fun_text
 
 
 def series_lines(series):

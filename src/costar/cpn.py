@@ -16,8 +16,12 @@ B(k,l) = a^{k+l} res(T_l(u^{-k})), T_l the sum of the words of weight l.
 Splitting each word on its leftmost letter gives T_l = P T_{l-1} + R T_{l-2},
 so one pass h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0
 yields the first n cells of row k with 2n - 3 letter applications, where
-summing the Fibonacci-many words cell by cell costs exponentially many;
-pr_word_sum keeps the word sum as the independent oracle for the rows.
+summing the Fibonacci-many words cell by cell costs exponentially many.
+Three descriptions stay only as oracles: a_coeff_closed for a_coeff_sum
+(test_sum_matches_closed_formula, criterion 2, verify --suite tables),
+a_coeff_operator for a_coeff_engine (criterion 3, --suite tables), and
+pr_word_sum for the rows of _quadratic_row (--suite tables) and for T
+(test_word_sums_match_transfer_recursion, criterion 6, --suite prwords).
 At order two the antisymmetrized parts of the two reduced products differ
 by a multiple of u {f,g}, which makes them inequivalent deformations.
 obstruction_order2 computes the exact multiple; since T and prol are
@@ -35,10 +39,8 @@ from .radialphase import (
     RadialConstraint,
     RadialFun,
     is_homogeneous,
-    pij,
     poisson,
     prol,
-    restrict,
     scalar_ratio,
     wick_kernel,
     wick_product,
@@ -63,18 +65,6 @@ def transfer_kernel(setup):
         return -setup.j_kernel(setup.pij(f), 1)
 
     return k
-
-
-def restricted_kernel_euler(f, constraint):
-    """Euler-operator form of the restricted transfer kernel.
-
-    Equals restrict(K f) for terms with equal z and zbar degrees, which
-    covers everything the reduction feeds into K.
-    """
-    e, ebar = f.euler_e(), f.euler_ebar()
-    combo = (e.euler_e() - ebar.euler_ebar()).scale(Fraction(1, 2)) \
-        + (e + ebar) - (e.euler_e() + e.euler_ebar())
-    return restrict(combo, constraint).scale(Fraction(-1, 4) / constraint.mu)
 
 
 def a_coeff_sum(k, l):
@@ -151,21 +141,6 @@ def pr_letters(setup):
     return transfer_kernel(setup), r
 
 
-def pr_letters_euler(constraint, dim):
-    """The same letters in closed Euler-operator form: P = -u E pi_J and
-    R = -(E^2 - E) pi_J, with E^2 - E the normally ordered second Euler
-    operator sum_{i,j} z^i z^j d2/dz^i dz^j."""
-
-    def p(f):
-        return -(RadialFun.u(dim) * pij(f, constraint).euler_e())
-
-    def r(f):
-        e = pij(f, constraint).euler_e()
-        return -(e.euler_e() - e)
-
-    return p, r
-
-
 def _weight_words(n):
     if n == 0:
         yield ()
@@ -237,6 +212,7 @@ def coefficient_table(kind, kmax, lmax, mu=Fraction(-1, 2)):
         raise ValueError("table extents must be positive")
     if kind not in ("linear", "quadratic"):
         raise ValueError("table kind must be 'linear' or 'quadratic'")
+    RadialConstraint(kind, mu)  # the linear rows do not read mu: check it here
     return [_table_row(kind, k, lmax, mu) for k in range(1, kmax + 1)]
 
 

@@ -89,12 +89,6 @@ class FlatPoly(TermRing):
         self._dcache[idx] = res
         return res
 
-    def dq(self, i):
-        return self.partial(i - 1)
-
-    def dp(self, i):
-        return self.partial(self.dim + i - 1)
-
 
 def poisson(f, g):
     """Canonical Poisson bracket sum_i (df/dq^i dg/dp_i - df/dp_i dg/dq^i)."""

@@ -118,10 +118,8 @@ class RadialFun(TermRing):
         return RadialFun(dim, {((0,) * dim, beta): RadialRational.of(1)})
 
     @staticmethod
-    def monomial(alpha, beta, radial=1, dim=None):
-        alpha, beta = tuple(alpha), tuple(beta)
-        dim = dim or len(alpha)
-        return RadialFun(dim, {(alpha, beta): RadialRational.of(radial)})
+    def monomial(alpha, beta, radial=1):
+        return RadialFun(len(alpha), [((alpha, beta), radial)])
 
     @staticmethod
     def _key_product(k1, k2):
@@ -198,7 +196,7 @@ class RadialFun(TermRing):
             for k, c in enumerate(num.coeffs):
                 if c.is_zero():
                     continue
-                for s in _compositions(k, (k,) * self.dim):
+                for s in _compositions(k, self.dim):
                     key = (
                         tuple(x + y for x, y in zip(alpha, s)),
                         tuple(x + y for x, y in zip(beta, s)),
@@ -293,7 +291,10 @@ def _require_even(f, op):
 
 
 def restrict(f, constraint):
-    """Restriction to the sphere: evaluate every radial part at u = -2*mu."""
+    """Restriction to the sphere: evaluate every radial part at u = -2*mu.
+
+    The monomials are kept, so == between restrictions depends on how the
+    inputs spell u; compare on the sphere through prol (vanishes_on_c)."""
     _require_even(f, "restriction")
     a = constraint.sphere_u
     out = []
@@ -339,15 +340,6 @@ def pij(f, constraint):
             )
         out[key] = q
     return RadialFun._of_terms(f.dim, out)
-
-
-def vanishes_on_sphere(f, constraint):
-    """True iff f vanishes identically on the constraint sphere.
-
-    Monomial and radial spellings of the same function differ ambiently but
-    agree on the sphere, so this goes through prol, which identifies them.
-    """
-    return prol(f, constraint).is_zero()
 
 
 @cache

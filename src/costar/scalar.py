@@ -245,16 +245,14 @@ def _derivative_chain(h, d, n):
         yield h
 
 
-def _compositions(total, caps):
-    # all tuples e with sum(e) == total and 0 <= e[i] <= caps[i], in
-    # lexicographic order; nothing when the caps cannot reach the total
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
+def _compositions(total, parts):
+    # all tuples of parts nonnegative entries summing to total, in
+    # lexicographic order
+    if parts == 1:
+        yield (total,)
         return
-    room = sum(caps[1:])
-    for head in range(max(0, total - room), min(total, caps[0]) + 1):
-        for rest in _compositions(total - head, caps[1:]):
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
 
 

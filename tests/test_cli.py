@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import costar.cli as cli
 from costar.cli import (
     ParseError,
-    flat_text,
+    fun_text,
     main,
     parse_expression,
     radial_text,
@@ -142,7 +142,7 @@ ROUNDTRIP_FLAT = [
 
 @pytest.mark.parametrize("f", ROUNDTRIP_FLAT)
 def test_flat_text_round_trip(f):
-    assert parse_expression(flat_text(f), "flat", f.dim) == f
+    assert parse_expression(fun_text(f), "flat", f.dim) == f
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -397,6 +397,15 @@ def test_bad_mu_is_a_usage_error(capsys, cmd, mu):
     code, out, err = _run(capsys, cmd[:1] + ["--mu=" + mu] + cmd[1:])
     assert code == 2 and out == ""
     assert "--mu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("mu", ["0", "1"])
+def test_coeffs_rejects_nonnegative_mu(capsys, kind, mu):
+    # the linear rows do not read mu, yet each table belongs to a constraint
+    code, out, err = _run(capsys, ["coeffs", "--kind", kind, "--mu=" + mu])
+    assert code == 2 and out == ""
+    assert "mu must be negative" in err and "Traceback" not in err
 
 
 def test_nesting_limit_exits_2(capsys):

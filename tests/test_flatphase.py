@@ -104,9 +104,10 @@ def test_difference_stores_the_terms_of_a_sum_with_the_negation(ab):
 
 def test_partial_derivatives():
     f = q(1) ** 2 * p(2)
-    assert f.dq(1) == (q(1) * p(2)).scale(2)
-    assert f.dp(2) == q(1) ** 2
-    assert f.dp(1).is_zero()
+    # over (q1, q2, p1, p2): d/dq1 is index 0, d/dp1 index 2, d/dp2 index 3
+    assert f.partial(0) == (q(1) * p(2)).scale(2)
+    assert f.partial(3) == q(1) ** 2
+    assert f.partial(2).is_zero()
 
 
 def test_poisson_canonical_pairs():

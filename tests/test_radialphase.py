@@ -15,10 +15,10 @@ from costar.radialphase import (
     prol,
     restrict,
     scalar_ratio,
-    vanishes_on_sphere,
     wick_kernel,
     wick_product,
 )
+from costar.reduction import radial_setup
 from costar.scalar import (
     GaussianRational,
     I,
@@ -278,7 +278,7 @@ def test_restrict_examples():
     c = RadialConstraint.linear(-HALF)
     f = RadialFun.from_radial(RadialRational(UPoly.of(1), UPoly((1, 1))), 2)
     assert restrict(f, c) == RadialFun.constant(HALF, 2)
-    assert vanishes_on_sphere(c.j(2), c)
+    assert radial_setup(c, 2).vanishes_on_c(c.j(2))
     with pytest.raises(ParityError, match="even"):
         restrict(RadialFun.z(1, 2), c)
     pole = RadialFun.from_radial(RadialRational(UPoly.of(1), UPoly((-1, 1))), 2)
@@ -303,8 +303,9 @@ def test_sphere_vanishing_is_representation_free():
          - RadialFun.one(2))
     assert not f.is_zero()
     assert not restrict(f, c).is_zero()
-    assert vanishes_on_sphere(f, c)
-    assert not vanishes_on_sphere(f + RadialFun.one(2), c)
+    setup = radial_setup(c, 2)
+    assert setup.vanishes_on_c(f)
+    assert not setup.vanishes_on_c(f + RadialFun.one(2))
 
 
 def test_pij_examples():

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from fractions import Fraction
 
@@ -428,6 +429,25 @@ def test_transfer_ops_apply_call_counts(setup):
             j_kernel=sum((n - j) * (n - j + 1) // 2 for j in range(n + 1)),
             pij=sum(n - j for j in range(n + 1)))
         assert got == transfer_series(setup, a.truncated(n))
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_transfer_ops_runs_outlive_their_inputs(setup):
+    # transfer_ops keys its runs by id(f) and holds f in the run, so a
+    # dropped input's id is not handed to a later input while ops lives
+    ops = transfer_ops(setup, 2).ops
+    # T_2 of base is not zero, so a run read for the wrong input shows
+    base = sample_series(setup, 3)[3] * setup.j
+    assert not transfer_series(setup, setup.as_series(base, 2))[2].is_zero()
+    gc.freeze()  # so each collection walks only what the loop made
+    try:
+        for c in range(1, 201):
+            x = base.scale(c)
+            assert ops[2](x) == transfer_series(setup, setup.as_series(x, 2))[2]
+            del x
+            gc.collect()
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
