@@ -60,6 +60,7 @@ T_SUB = ("tests/test_flatphase.py::"
 T_OBSTRUCT = "tests/test_cpn.py::test_obstruction_matches_four_reduced_products"
 T_LETTERS = "tests/test_cpn.py::test_pr_letters_kernel_vs_euler"
 T_RUNS = "tests/test_reduction.py::test_transfer_ops_runs_outlive_their_inputs"
+T_JETS = "tests/test_sphere_jets.py::test_prol_transfer_matches_generic"
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -120,8 +121,8 @@ MUTANTS = [
      [T_DERIV]),
     # the kernel against the constraint in closed form
     ("falling factorial drops its shift", RADIAL,
-     "e = sum(key[Z]) - s",
-     "e = sum(key[Z])",
+     "e = sum(key[Z]) - s\n                if e:\n                    out.append(",
+     "e = sum(key[Z])\n                if e:\n                    out.append(",
      [T_J_RADIAL, T_LETTERS]),
     ("J^(r) taken one derivative short", RADIAL,
      "        j = j.derivative()\n",
@@ -141,8 +142,8 @@ MUTANTS = [
      "acc = acc + self.ops[k](h[m - k])",
      [T_NEUMANN]),
     ("reduce_star_series skips apply_inverse", REDUCTION,
-     "return s_inverse(transfer_series(setup, ambient).map(setup.prol))",
-     "return transfer_series(setup, ambient).map(setup.prol)",
+     "return s_inverse(prol_transfer(setup, ambient))",
+     "return prol_transfer(setup, ambient)",
      [T_INTERTWINER]),
     ("transfer run holds a copy of its input", REDUCTION,
      "run.push(f)",
@@ -231,9 +232,26 @@ MUTANTS = [
      "lhs = second(lin) - second(lin)",
      [T_OBSTRUCT]),
     ("obstruct reads order 1 of the transfer", CPN,
-     "return setup.prol(transfer_series(setup, comm)[2])",
-     "return setup.prol(transfer_series(setup, comm)[1])",
+     "return prol_transfer(setup, comm)[2]",
+     "return prol_transfer(setup, comm)[1]",
      [T_OBSTRUCT]),
+    # prol(T(series)) on Taylor jets at the sphere
+    ("jet one coefficient short", RADIAL,
+     "lengths = [2 * (n - m) + 1 for m in range(n + 1)]",
+     "lengths = [2 * (n - m) for m in range(n + 1)]",
+     [T_JETS]),
+    ("dim-1 raised key drops its (a + t) factor", RADIAL,
+     "_merge(out, key, dc.jet_mul(self.u_jet, n))",
+     "_merge(out, key, dc)",
+     [T_JETS]),
+    ("jet pij drops the (a/u)^h factor of x(0)", RADIAL,
+     "c = c - self.of(self.prolonged(h), n).scale(c0)",
+     "c = c - self.of(self.prolonged(0), n).scale(c0)",
+     [T_JETS]),
+    ("jet Euler step drops its shift", RADIAL,
+     "e = sum(key[Z]) - s\n            if e:\n                _merge(",
+     "e = sum(key[Z])\n            if e:\n                _merge(",
+     [T_JETS]),
 ]
 
 

@@ -47,9 +47,9 @@ from .radialphase import (
 )
 from .reduction import (
     MembershipError,
+    prol_transfer,
     radial_setup,
     require_admissible,
-    transfer_series,
 )
 from .scalar import I, LambdaSeries, RadialRational
 
@@ -264,7 +264,7 @@ def obstruction_order2(f, g, mu):
     comm = wick_product(f, g, 2) - wick_product(g, f, 2)
 
     def second(setup):
-        return setup.prol(transfer_series(setup, comm)[2])
+        return prol_transfer(setup, comm)[2]
 
     lhs = second(quad) - second(lin)
     rhs = (RadialFun.u(f.dim) * poisson(f, g)).scale(I * Fraction(1, 2) / a ** 2)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import add, methodcaller
+from operator import add, methodcaller, sub
 
 from .scalar import (
     GaussianRational,
@@ -212,7 +212,23 @@ class RadialFun(TermRing):
         return RadialFun(dim, out)
 
     def is_zero(self):
-        return not self.terms or not self.expansion()[1]
+        """True iff the terms sum to the zero function.
+
+        Expanding u = sum_i z^i zbar^i raises alpha and beta by the same s,
+        so every cell of a term z^alpha zbar^beta R(u) keeps the class
+        alpha - beta, and terms of different classes never cancel.  A class
+        of one stored term is nonzero: its cells with |s| = k carry the
+        coefficient of u^k in the numerator of R.  So only the classes of
+        two or more terms are expanded, smallest first, up to the first
+        nonzero one.
+        """
+        classes = {}
+        for key, r in self.terms.items():
+            classes.setdefault(tuple(map(sub, *key)), {})[key] = r
+        if any(len(terms) == 1 for terms in classes.values()):
+            return False
+        return not any(RadialFun._of_terms(self.dim, terms).expansion()[1]
+                       for terms in sorted(classes.values(), key=len))
 
     def __eq__(self, other):
         # stored terms are not canonical, so unequal ones go to the normal form
@@ -362,6 +378,15 @@ def wick_kernel(f, g, r):
     return pairing_kernel(f, g, r, _wick_pairs(f.dim), (r,) * f.dim, 2)
 
 
+def _constraint_parts(constraint):
+    # parts[r] = (2^r/r!) J^(r) for r = 0..deg J
+    j, parts = constraint.j_radial(), []
+    for r in range(j.num.degree() + 1):
+        parts.append(j.scale(Fraction(2 ** r, factorial(r))))
+        j = j.derivative()
+    return parts
+
+
 def constraint_kernel(constraint):
     """The Wick kernel against the constraint, (f, r) -> M_r(f, J).
 
@@ -378,11 +403,7 @@ def constraint_kernel(constraint):
     equal those of wick_kernel(f, J, r).  euler_e spells it as u R' at the
     key instead, which restrict keeps apart from the sum.
     """
-    j, parts = constraint.j_radial(), []
-    # parts[r] = (2^r/r!) J^(r) for r = 0..deg J
-    for r in range(j.num.degree() + 1):
-        parts.append(j.scale(Fraction(2 ** r, factorial(r))))
-        j = j.derivative()
+    parts = _constraint_parts(constraint)
 
     def kernel(f, r):
         if r < 0:
@@ -405,6 +426,168 @@ def constraint_kernel(constraint):
         return f * parts[r]
 
     return kernel
+
+
+class _SphereJets:
+    """Taylor jets in t = u - a at the sphere a = -2*mu, for one transfer.
+
+    A jet is a UPoly in t that holds the first coefficients of a radial
+    part; the caller tracks how many are exact.  The terms of a function
+    become a dict from its keys to jets.  The jets of radial parts and the
+    inverse jets are cached by value and length: the terms of one series
+    repeat a few dozen radial parts.
+    """
+
+    __slots__ = ("a", "dim", "parts", "jets", "inverses", "prolongations",
+                 "quotient", "u_jet")
+
+    def __init__(self, constraint, dim):
+        self.a = constraint.sphere_u
+        self.dim = dim
+        self.parts = _constraint_parts(constraint)
+        self.jets, self.inverses, self.prolongations = {}, {}, {}
+        self.u_jet = UPoly((self.a, 1))  # u = a + t
+        # J(a + t) / t, whose inverse is t/J: J has the simple zero t = 0
+        j = constraint.j_radial().num.shifted(self.a, len(self.parts))
+        self.quotient = j.exact_div(UPoly.u(1))
+
+    def inverse(self, d, n):
+        # 1/d mod t**n for a jet d with d(0) != 0
+        key = (d, n)
+        out = self.inverses.get(key)
+        if out is None:
+            d = d.coeffs
+            inv = [1 / d[0]]
+            for k in range(1, n):
+                acc = ZERO
+                for i in range(1, min(k, len(d) - 1) + 1):
+                    acc = acc + d[i] * inv[k - i]
+                inv.append(-acc * inv[0])
+            out = self.inverses[key] = UPoly(inv)
+        return out
+
+    def of(self, r, n):
+        """The jet of the RadialRational r to n coefficients, num(a + t)
+        times 1/den(a + t); a pole at a raises the PoleError of eval."""
+        key = (r, n)
+        out = self.jets.get(key)
+        if out is None:
+            out = r.num.shifted(self.a, n)
+            if r.den.degree() > 0:
+                den = r.den.shifted(self.a, n)
+                if not den.eval(0):
+                    r.eval(self.a)  # raises
+                out = out.jet_mul(self.inverse(den, n), n)
+            self.jets[key] = out
+        return out
+
+    def convert(self, f, n):
+        # the terms of f as jets of n coefficients, checked as prol checks them
+        _require_even(f, "prolongation")
+        out = {}
+        for key, r in f.terms.items():
+            c = self.of(r, n)
+            if c:
+                out[key] = c
+        return out
+
+    def prolonged(self, h):
+        # (a/u)^h = a^h u^-h, the prolongation of a key of degree 2h
+        out = self.prolongations.get(h)
+        if out is None:
+            out = self.prolongations[h] = RadialRational.u_power(-h).scale(
+                GaussianRational.of(self.a ** h))
+        return out
+
+    def prol(self, x):
+        # x(0) (a/u)^h on a key of degree 2h, as prol reads r(a) off its terms
+        out = {}
+        for key, c in x.items():
+            c0 = c.eval(0)
+            if c0:
+                h = (sum(key[Z]) + sum(key[ZBAR])) // 2
+                out[key] = self.prolonged(h).scale(c0)
+        return RadialFun._of_terms(self.dim, out)
+
+    def pij(self, x, n):
+        # (x - x(0) (a/u)^h) / t times t/J: n - 1 coefficients from n
+        out = {}
+        quotient = self.inverse(self.quotient, n - 1)
+        t = UPoly.u(1)
+        for key, c in x.items():
+            c0 = c.eval(0)
+            if c0:
+                h = (sum(key[Z]) + sum(key[ZBAR])) // 2
+                c = c - self.of(self.prolonged(h), n).scale(c0)
+            c = c.exact_div(t)
+            if c:
+                out[key] = c.jet_mul(quotient, n - 1)
+        return out
+
+    def euler(self, x, s, n):
+        """E - s as constraint_kernel spells it, to n coefficients: (|alpha|
+        - s) x at the key and x' at each raised key; in dim 1 __init__
+        strips z zbar into u, so x' (a + t) at the key itself."""
+        out = {}
+        for key, c in x.items():
+            e = sum(key[Z]) - s
+            if e:
+                _merge(out, key, c.truncated(n).scale(e))
+            dc = c.derivative().truncated(n)
+            if dc:
+                if self.dim == 1:
+                    _merge(out, key, dc.jet_mul(self.u_jet, n))
+                    continue
+                alpha, beta = key
+                for i in range(self.dim):
+                    _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
+        return out
+
+
+def prol_transfer(series, constraint):
+    """prol(T(series)) for a sphere constraint, yielded order by order.
+
+    It runs the forward substitution h_m = a_m - sum_k M_k(pi_J h_{m-k}, J)
+    of reduction.transfer_series, but on Taylor jets in t = u - a at the
+    sphere a = -2*mu, with no rational function of u inside it.  prol reads
+    only the values h_m(a) of the radial parts, and every step is a map on
+    the stored terms key by key (pij, the Euler steps of constraint_kernel,
+    the product by parts[r]), so the jets of the terms of h_m carry all
+    that the answer needs, and prol yields the same terms as on h_m.
+
+    Lengths: prol(h_n) needs coefficient 0 of h_n only.  A term of h_m
+    reaches h_{m+k} through pij, which divides by t, and k Euler steps,
+    each of which differentiates; each loses the top coefficient.  So h_m
+    needs L_m >= L_{m+k} + k + 1 coefficients for every k >= 1, and the
+    largest bound, at k = 1, gives L_m = 2(n - m) + 1, with a_m converted
+    to that length.
+
+    Errors: the odd terms and the poles at a of h_m are those of a_m, as
+    the kernel terms are even and pole-free there.  So a_m is checked as
+    prol checks h_m: a ParityError naming its first odd key, then the
+    PoleError of RadialRational.eval.  a_0 .. a_{n-1} are checked before the
+    first yield and a_n before the last, where transfer_series and prol
+    check them; so in_istar stops at the same order.
+    """
+    n = series.order
+    jets = _SphereJets(constraint, series[0].dim)
+    lengths = [2 * (n - m) + 1 for m in range(n + 1)]
+    converted = [jets.convert(series[m], lengths[m]) for m in range(n)]
+    pending = [{} for _ in range(n + 1)]  # -sum_k M_k(pi_J h_{m-k}, J)
+    for m in range(n + 1):
+        h = converted[m] if m < n else jets.convert(series[n], lengths[n])
+        for key, c in pending[m].items():
+            _merge(h, key, c)
+        yield jets.prol(h)
+        if m == n:
+            break
+        # M_k(pi_J h_m, J) = parts[k] (E - k + 1) ... (E - 1) E pi_J h_m
+        x = jets.pij(h, lengths[m])
+        for k in range(1, min(len(jets.parts), n - m + 1)):
+            x = jets.euler(x, k - 1, lengths[m] - 1 - k)
+            part, out = jets.of(-jets.parts[k], lengths[m + k]), pending[m + k]
+            for key, c in x.items():
+                _merge(out, key, c.jet_mul(part, lengths[m + k]))
 
 
 def wick_product(f, g, order):

@@ -22,7 +22,8 @@ product of two functions on C is then
 
 for an intertwiner S that starts at the identity; the default S = id.
 S^{-1} is applied by the same forward substitution, with the terms of S
-in place of the kernels.
+in place of the kernels.  prol_transfer gives prol(T(series)), which a
+radial setup computes on Taylor jets at the sphere.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ class PhaseSetup:
     transfer series runs on; prol and pij satisfy f = prol(f) + pij(f) * j
     with prol(j) = 0, and bracket is the Poisson bracket generating kernel
     antisymmetry at order one.  one and zero are the unit and zero of j's
-    algebra.
+    algebra.  prol_transfer(series) yields prol(T(series)) order by order
+    in a closed form of its own, or is None for prol of transfer_series.
     """
 
     __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "bracket",
-                 "one", "zero")
+                 "prol_transfer", "one", "zero")
 
-    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket):
+    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket,
+                 prol_transfer=None):
         self.label = label
         self.j = j
         self.kernel = kernel
@@ -62,6 +65,7 @@ class PhaseSetup:
         self.prol = prol
         self.pij = pij
         self.bracket = bracket
+        self.prol_transfer = prol_transfer
         self.one = type(j).one(j.dim)
         self.zero = type(j).zero(j.dim)
         if not prol(j).is_zero():
@@ -102,6 +106,7 @@ def radial_setup(constraint, dim):
         prol=lambda f: radialphase.prol(f, constraint),
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
+        prol_transfer=lambda series: radialphase.prol_transfer(series, constraint),
     )
 
 
@@ -181,6 +186,23 @@ def transfer_series(setup, series):
     return LambdaSeries(tuple(run.push(a) for a in series.coeffs))
 
 
+def _prolonged_orders(setup, series):
+    # prol(h_m) for h = T(series), lazily in m; T itself runs at once
+    if setup.prol_transfer is not None:
+        return setup.prol_transfer(series)
+    return map(setup.prol, transfer_series(setup, series).coeffs)
+
+
+def prol_transfer(setup, series):
+    """prol(T(series)), the reduced image of a series, order by order.
+
+    Radial setups compute it on Taylor jets at the sphere
+    (radialphase.prol_transfer) and flat ones as prol of transfer_series;
+    both raise the errors of that composition, in its order.
+    """
+    return LambdaSeries(tuple(_prolonged_orders(setup, series)))
+
+
 def transfer_ops(setup, order):
     """T as an operator series: T_n(f) is component n of T(f, 0, ..., 0).
 
@@ -239,7 +261,7 @@ def in_istar(setup, series):
     A series is of the form g * J iff its transfer image vanishes on C
     order by order.
     """
-    return all(setup.vanishes_on_c(c) for c in transfer_series(setup, series).coeffs)
+    return all(c.is_zero() for c in _prolonged_orders(setup, series))
 
 
 def in_bstar(setup, series):
@@ -271,7 +293,7 @@ def reduce_star_series(setup, fs, gs, intertwiner=None):
     else:
         s, s_inverse = intertwiner.apply, intertwiner.apply_inverse
     ambient = star_series(setup, s(fs), s(gs))
-    return s_inverse(transfer_series(setup, ambient).map(setup.prol))
+    return s_inverse(prol_transfer(setup, ambient))
 
 
 def require_admissible(setup, f, g):

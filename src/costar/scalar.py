@@ -743,6 +743,10 @@ class UPoly:
                 im[k] += x * yi + xi * y
         return _reduced(re, im, den, den)
 
+    def jet_mul(self, other, n):
+        """self * other mod u**n, from the operands mod u**n."""
+        return (self.truncated(n) * other.truncated(n)).truncated(n)
+
     __rmul__ = __mul__
 
     def scale(self, c):
@@ -810,6 +814,36 @@ class UPoly:
         if not re or re[-1] == self._den and (im is None or not im[-1]):
             return self
         return _over(re, im, 1, 1, re[-1], 0 if im is None else im[-1])
+
+    def shifted(self, x, n):
+        """self(x + u) mod u**n for a rational x: the first n Taylor
+        coefficients of self at x.
+
+        Horner on the numerators, homogenised in the denominator d of
+        x = c/d: from B = 0, B = B * (c + d*u) + n_k * d**(deg-k) for k
+        from deg down to 0 gives B = d**deg * den * self(x + u)."""
+        re, im = self._re, self._im
+        if not re or n <= 0:
+            return _reduced([], None, 1, 1)
+        x = _as_fraction(x)
+        c, d = x.numerator, x.denominator
+        sides = [(re, [])] if im is None else [(re, []), (im, [])]
+        p = 1
+        for k in range(len(re) - 1, -1, -1):
+            for coeffs, b in sides:
+                # b * (c + d*u): coefficient j is c*b[j] + d*b[j-1]
+                b[:] = [c * y + d * z for y, z in zip(b + [0], [0] + b)][:n]
+                b[0] += coeffs[k] * p
+            p *= d
+        den = self._den * p // d
+        return _reduced(sides[0][1], None if im is None else sides[1][1], den, den)
+
+    def truncated(self, n):
+        """self mod u**n: the coefficients of u**0 .. u**(n-1)."""
+        re, im = self._re, self._im
+        if len(re) <= n:
+            return self
+        return _reduced(re[:n], None if im is None else im[:n], self._den, self._den)
 
     def _lower(self, k):
         # self / u**k, for k <= the valuation: the content is unchanged

@@ -287,8 +287,9 @@ def test_obstruction_matches_four_reduced_products(fg, mu):
 
 
 def test_obstruction_call_counts(monkeypatch):
-    # one Wick commutator, M_0..M_2 on each side, and one order-2 transfer
-    # per constraint: 3 j_kernel and 2 pij calls each
+    # one Wick commutator, M_0..M_2 on each side, and one order-2
+    # prol_transfer per constraint, on jets: no call of the setup's j_kernel
+    # or pij after the checks of its constructor
     calls = Counter()
     wick, setup_of = radialphase.wick_kernel, cpn.radial_setup
 
@@ -298,7 +299,7 @@ def test_obstruction_call_counts(monkeypatch):
 
     def counted_setup(constraint, dim):
         setup = setup_of(constraint, dim)
-        j_kernel, pij = setup.j_kernel, setup.pij
+        j_kernel, pij, prol_transfer = setup.j_kernel, setup.pij, setup.prol_transfer
 
         def counted_j_kernel(f, r):
             calls[constraint.kind, "j_kernel"] += 1
@@ -308,7 +309,12 @@ def test_obstruction_call_counts(monkeypatch):
             calls[constraint.kind, "pij"] += 1
             return pij(f)
 
+        def counted_prol_transfer(series):
+            calls[constraint.kind, "prol_transfer", series.order] += 1
+            return prol_transfer(series)
+
         setup.j_kernel, setup.pij = counted_j_kernel, counted_pij
+        setup.prol_transfer = counted_prol_transfer
         return setup
 
     monkeypatch.setattr(radialphase, "wick_kernel", counted_wick)
@@ -317,8 +323,7 @@ def test_obstruction_call_counts(monkeypatch):
     assert ratio == GaussianRational(-2)
     assert calls == Counter({
         "wick_kernel": 6,
-        ("linear", "j_kernel"): 3, ("linear", "pij"): 2,
-        ("quadratic", "j_kernel"): 3, ("quadratic", "pij"): 2,
+        ("linear", "prol_transfer", 2): 1, ("quadratic", "prol_transfer", 2): 1,
     })
 
 
