@@ -36,6 +36,7 @@ RADIAL = "costar/radialphase.py"
 SCALAR = "costar/scalar.py"
 REDUCTION = "costar/reduction.py"
 CPN = "costar/cpn.py"
+CLI = "costar/cli.py"
 
 T_MOYAL = "tests/test_flatphase.py::test_moyal_kernel_matches_uncapped_sum"
 T_WICK = "tests/test_radialphase.py::test_wick_kernel_matches_uncapped_sum"
@@ -61,6 +62,8 @@ T_OBSTRUCT = "tests/test_cpn.py::test_obstruction_matches_four_reduced_products"
 T_LETTERS = "tests/test_cpn.py::test_pr_letters_kernel_vs_euler"
 T_RUNS = "tests/test_reduction.py::test_transfer_ops_runs_outlive_their_inputs"
 T_JETS = "tests/test_sphere_jets.py::test_prol_transfer_matches_generic"
+T_ROW = "tests/test_cpn.py::test_quadratic_row_takes_one_quotient_per_cell"
+T_TABLE = "tests/test_cli.py::test_table_parser_agrees_with_argparse"
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -211,13 +214,21 @@ MUTANTS = [
      [T_REF]),
     # the quadratic coefficient table
     ("quadratic row drops R", CPN,
-     "after = p(h) if before is None else p(h) + r(before)",
+     "after = p(h) if before is None else r(before) + p(h)",
      "after = p(h)",
      [T_QUAD]),
     ("quadratic row swaps the letters", CPN,
-     "after = p(h) if before is None else p(h) + r(before)",
-     "after = r(h) if before is None else r(h) + p(before)",
+     "after = p(h) if before is None else r(before) + p(h)",
+     "after = r(h) if before is None else p(before) + r(h)",
      [T_QUAD]),
+    ("letters' shared quotient ignores its argument", CPN,
+     "if last[0] is not f:",
+     "if last[0] is None:",
+     [T_QUAD, T_LETTERS]),
+    ("letters take a quotient on every call", CPN,
+     "if last[0] is not f:",
+     "if True:",
+     [T_ROW]),
     ("table cell read off by one", CPN,
      "return _quadratic_row(k, l + 1, mu)[l]",
      "return _quadratic_row(k, l + 2, mu)[l + 1]",
@@ -252,6 +263,19 @@ MUTANTS = [
      "e = sum(key[Z]) - s\n            if e:\n                _merge(",
      "e = sum(key[Z])\n            if e:\n                _merge(",
      [T_JETS]),
+    # the table parser of the command line against argparse
+    ("table parser takes a separate value that starts with -", CLI,
+     'if value.startswith("-"):',
+     "if False:",
+     [T_TABLE]),
+    ("table parser skips the check of the allowed values", CLI,
+     "if value not in kind:",
+     "if False:",
+     [T_TABLE]),
+    ("table parser reads a second -- as a positional", CLI,
+     "if ended:",
+     "if False:",
+     [T_TABLE]),
 ]
 
 

@@ -18,13 +18,13 @@ are emitted with sorted keys.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from math import comb
 from random import Random
+from types import SimpleNamespace
 
 from .cpn import (
     a_coeff_engine,
@@ -431,7 +431,7 @@ def _check_dim(dim):
 
 
 def _product_inputs(ns, reduced):
-    """Validate the product options (argparse has checked --mode), then
+    """Validate the product options (the parser has checked --mode), then
     build the setup (for a reduced product; None otherwise) and parse both
     factors, in that order."""
     _check_dim(ns.dim)
@@ -723,75 +723,169 @@ def _fraction(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("invalid fraction %r" % text) from None
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError("invalid fraction %r" % text) from None
 
 
-def _add_product_args(sub, default_order):
-    sub.add_argument("--mode", choices=MODES, default="radial-quadratic")
-    sub.add_argument("--dim", type=int, default=2,
-                     help="coordinate pairs (flat) or complex coordinates (radial)")
-    sub.add_argument("--order", type=int, default=default_order,
-                     help="truncation order of the deformation series")
-    sub.add_argument("--mu", type=_fraction, default=Fraction(-1, 2),
-                     help="constraint level, a negative fraction (radial modes)")
-    sub.add_argument("--json", action="store_true", help="emit a JSON payload")
-    sub.add_argument("f", help="left factor expression")
-    sub.add_argument("g", help="right factor expression")
+class Command:
+    """One subcommand: its handler, its help line, its long options, its
+    positionals, and the options of which at most one may be given.
+
+    An option is (name, kind, default, help), where kind is the converter
+    of its value, a tuple of the values it allows, or bool for a flag that
+    takes no value (default False).  A positional is (name, help).
+    """
+
+    __slots__ = ("func", "help", "options", "positionals", "exclusive")
+
+    def __init__(self, func, help, options, positionals=(), exclusive=()):
+        self.func = func
+        self.help = help
+        self.options = options
+        self.positionals = positionals
+        self.exclusive = exclusive
+
+
+_PRODUCT_OPTIONS = (
+    ("mode", MODES, "radial-quadratic", None),
+    ("dim", int, 2, "coordinate pairs (flat) or complex coordinates (radial)"),
+    ("order", int, 3, "truncation order of the deformation series"),
+    ("mu", _fraction, Fraction(-1, 2),
+     "constraint level, a negative fraction (radial modes)"),
+    ("json", bool, False, "emit a JSON payload"),
+)
+_FACTORS = (("f", "left factor expression"), ("g", "right factor expression"))
+
+# the one description of the command line: build_parser and parse_plain
+# both read it
+COMMANDS = {
+    "star": Command(cmd_star, "ambient star product", _PRODUCT_OPTIONS, _FACTORS),
+    "reduce": Command(cmd_reduce, "reduced star product", _PRODUCT_OPTIONS,
+                      _FACTORS),
+    "coeffs": Command(cmd_coeffs, "reduced-product coefficient tables", (
+        ("kind", ("linear", "quadratic"), "linear", None),
+        ("kmax", int, 4, None),
+        ("lmax", int, 4, None),
+        ("mu", _fraction, Fraction(-1, 2), None),
+        ("json", bool, False, None),
+        ("tsv", bool, False, None),
+    ), exclusive=("json", "tsv")),
+    "obstruct": Command(cmd_obstruct,
+                        "order-2 difference of the two reduced products", (
+        ("dim", int, 2, None),
+        ("mu", _fraction, Fraction(-1, 2), None),
+        ("json", bool, False, None),
+    ), (("f", None), ("g", None))),
+    "verify": Command(cmd_verify, "randomized self-checks", (
+        ("suite", ("all",) + tuple(name for name, _ in SUITES), "all", None),
+        ("seed", int, 0, None),
+        ("examples", int, 3, None),
+    )),
+}
 
 
 def build_parser():
+    """The argparse parser for COMMANDS.  main builds it only for the argv
+    that parse_plain declines, so it renders every help text and error."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="costar",
         description="Star products and coisotropic reduction, exactly.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    star = sub.add_parser("star", help="ambient star product")
-    _add_product_args(star, default_order=3)
-    star.set_defaults(func=cmd_star)
-
-    reduce_ = sub.add_parser("reduce", help="reduced star product")
-    _add_product_args(reduce_, default_order=3)
-    reduce_.set_defaults(func=cmd_reduce)
-
-    coeffs = sub.add_parser("coeffs", help="reduced-product coefficient tables")
-    coeffs.add_argument("--kind", choices=("linear", "quadratic"), default="linear")
-    coeffs.add_argument("--kmax", type=int, default=4)
-    coeffs.add_argument("--lmax", type=int, default=4)
-    coeffs.add_argument("--mu", type=_fraction, default=Fraction(-1, 2))
-    fmt = coeffs.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--tsv", action="store_true")
-    coeffs.set_defaults(func=cmd_coeffs)
-
-    obstruct = sub.add_parser(
-        "obstruct", help="order-2 difference of the two reduced products"
-    )
-    obstruct.add_argument("--dim", type=int, default=2)
-    obstruct.add_argument("--mu", type=_fraction, default=Fraction(-1, 2))
-    obstruct.add_argument("--json", action="store_true")
-    obstruct.add_argument("f")
-    obstruct.add_argument("g")
-    obstruct.set_defaults(func=cmd_obstruct)
-
-    verify = sub.add_parser("verify", help="randomized self-checks")
-    verify.add_argument(
-        "--suite",
-        choices=("all",) + tuple(name for name, _ in SUITES),
-        default="all",
-    )
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--examples", type=int, default=3)
-    verify.set_defaults(func=cmd_verify)
+    for command, spec in COMMANDS.items():
+        parser = sub.add_parser(command, help=spec.help)
+        group = parser.add_mutually_exclusive_group() if spec.exclusive else None
+        for name, kind, default, help_ in spec.options:
+            to = group if name in spec.exclusive else parser
+            if kind is bool:
+                to.add_argument("--" + name, action="store_true", help=help_)
+            elif isinstance(kind, tuple):
+                to.add_argument("--" + name, choices=kind, default=default, help=help_)
+            else:
+                to.add_argument("--" + name, type=kind, default=default, help=help_)
+        for name, help_ in spec.positionals:
+            parser.add_argument(name, help=help_)
+        parser.set_defaults(func=spec.func)
     return ap
 
 
+def parse_plain(argv):
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    from COMMANDS, or None when argv is not of the plain shape.
+
+    The plain shape is a command name and then, in any order, the long
+    options of that command spelled in full, each at most once, with a
+    value after "=" or in the next token, which must not start with "-";
+    its positionals, which may start with "-" only after a "--"; at most
+    one "--", and not as the last token; and at most one option of an
+    exclusive set.  Every value must convert, or be one of those allowed.
+    argparse parses anything else: abbreviations, -h, every error, and the
+    corners of "--" that differ between Python versions.
+    """
+    spec = COMMANDS.get(argv[0]) if argv else None
+    # argparse keeps a final "--" that follows an option, and fails on it
+    if spec is None or argv[-1] == "--":
+        return None
+    kinds = {"--" + name: (name, kind) for name, kind, _, _ in spec.options}
+    given = {}
+    positionals = []
+    ended = False
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if tok == "--":
+            if ended:
+                return None
+            ended = True
+        elif ended or not tok.startswith("-"):
+            positionals.append(tok)
+        else:
+            option, eq, value = tok.partition("=")
+            if option not in kinds:
+                return None
+            name, kind = kinds[option]
+            if name in given:
+                return None
+            if kind is bool:
+                if eq:
+                    return None
+                given[name] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+            else:
+                try:
+                    value = kind(value)
+                except Exception:
+                    # int raises ValueError and _fraction argparse's
+                    # ArgumentTypeError; argparse parses the argv again and
+                    # reports it
+                    return None
+            given[name] = value
+    if len(positionals) != len(spec.positionals):
+        return None
+    if sum(name in given for name in spec.exclusive) > 1:
+        return None
+    values = {name: given.get(name, default) for name, _, default, _ in spec.options}
+    values.update(zip((name for name, _ in spec.positionals), positionals))
+    return SimpleNamespace(command=argv[0], func=spec.func, **values)
+
+
 def main(argv=None):
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = parse_plain(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code is None else int(exc.code)
     try:
         return ns.func(ns)
     except ParseError as exc:

@@ -133,12 +133,24 @@ def a_coeff_operator(k, l, mu=Fraction(-1, 2), dim=1):
 def pr_letters(setup):
     """The two word letters of the quadratic transfer recursion, built from
     the product kernels: P = K is the transfer kernel -M_1(pi_J f, J), and
-    R(f) = -M_2(pi_J f, J)."""
+    R(f) = -M_2(pi_J f, J).
+
+    The letters share the quotient pi_J f of the last argument either was
+    applied to, so R(h) right after P(h) takes no second quotient."""
+    last = [None, None]  # the last argument and its quotient
+
+    def pij(f):
+        if last[0] is not f:
+            last[:] = f, setup.pij(f)
+        return last[1]
+
+    def p(f):
+        return -setup.j_kernel(pij(f), 1)
 
     def r(f):
-        return -setup.j_kernel(setup.pij(f), 2)
+        return -setup.j_kernel(pij(f), 2)
 
-    return transfer_kernel(setup), r
+    return p, r
 
 
 def _weight_words(n):
@@ -174,9 +186,10 @@ def pr_word_sum(setup, weight):
 
 @lru_cache(maxsize=256)
 def _quadratic_row(k, n, mu):
-    # cells l = 0..n-1 of row k from h_l = P(h_{l-1}) + R(h_{l-2}),
+    # cells l = 0..n-1 of row k from h_l = R(h_{l-2}) + P(h_{l-1}),
     # h_0 = u^{-k}, h_{-1} = 0: the word sums T_l(u^{-k}) split on their
-    # leftmost letter
+    # leftmost letter.  R(h_{l-2}) goes first, so it reuses the quotient
+    # that P(h_{l-2}) took in the step before, and each h takes one
     constraint = RadialConstraint.quadratic(mu)
     p, r = pr_letters(radial_setup(constraint, 1))
     a = constraint.sphere_u
@@ -185,7 +198,7 @@ def _quadratic_row(k, n, mu):
     for l in range(n):
         row.append(a ** (k + l) * _real(_restricted_constant(h, constraint)))
         if l + 1 < n:
-            after = p(h) if before is None else p(h) + r(before)
+            after = p(h) if before is None else r(before) + p(h)
             before, h = h, after
     return tuple(row)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import costar.cli as cli
 from costar.cli import (
@@ -476,3 +476,184 @@ def test_engine_import_loads_no_dataclasses_inspect_or_typing():
                           text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# the table parser against argparse
+
+ROOT = Path(__file__).resolve().parent.parent
+FACTORS = ["z1*zb2/u", "z2*zb1/u", "q1", "1", "", "u^2"]
+GOOD_VALUES = {int: ["0", "2", "3", " 4", "1_0"],
+               cli._fraction: ["-1/2", "-3/2", "2", " -2 "]}
+BAD_VALUES = {int: ["x", "", "1.5"], cli._fraction: ["1/0", "half", ""]}
+ALL_OPTIONS = [o for spec in cli.COMMANDS.values() for o in spec.options]
+
+
+def _option(draw, option, values=None):
+    # a long option of the plain shape: its value after "=" or, if the
+    # value does not start with "-", in the next token
+    name, kind, _, _ = option
+    if kind is bool:
+        return ["--" + name]
+    if values is None:
+        values = list(kind) if isinstance(kind, tuple) else GOOD_VALUES[kind]
+    value = draw(st.sampled_from(values))
+    if value.startswith("-") or draw(st.booleans()):
+        return ["--%s=%s" % (name, value)]
+    return ["--" + name, value]
+
+
+def _valued(spec):
+    return [o for o in spec.options if o[1] is not bool]
+
+
+def _prefixed(draw, spec):
+    # an option spelled by a prefix
+    tokens = _option(draw, draw(st.sampled_from(spec.options)))
+    option, eq, value = tokens[0].partition("=")
+    tokens[0] = option[:draw(st.integers(3, len(option) - 1))] + eq + value
+    return tokens
+
+
+def _bad_value(draw, spec):
+    # a value that is not allowed, or that does not convert
+    choices = [o for o in _valued(spec) if isinstance(o[1], tuple)]
+    if choices and draw(st.booleans()):
+        return _option(draw, draw(st.sampled_from(choices)), values=["bogus", ""])
+    option = draw(st.sampled_from(_valued(spec)))
+    values = ["x"] if isinstance(option[1], tuple) else BAD_VALUES[option[1]]
+    return _option(draw, option, values=values)
+
+
+def _dash_value(draw, spec):
+    # a separate value that starts with "-": argparse reads -1/2 as an
+    # option and fails, and reads -1 as a number
+    names = [o[0] for o in _valued(spec)]
+    name = "mu" if "mu" in names else draw(st.sampled_from(names))
+    return ["--" + name, draw(st.sampled_from(["-1/2", "-3/2", "-2/3", "-1", "-h"]))]
+
+
+def _twice(draw, spec):
+    tokens = _option(draw, draw(st.sampled_from(spec.options)))
+    return tokens + tokens
+
+
+# Each fault gives tokens that make an argv of the plain shape one that
+# the table parser must decline (or still agree with argparse on)
+FAULTS = [
+    _prefixed,
+    _bad_value,
+    _dash_value,
+    _twice,
+    lambda draw, spec: [draw(st.sampled_from(
+        ["-h", "--help", "--he", "--json=1", "--tsv=", "-z1", "-1", "-"]))],
+    lambda draw, spec: _option(draw, draw(st.sampled_from(ALL_OPTIONS))),
+    lambda draw, spec: [draw(st.sampled_from(FACTORS))],
+    lambda draw, spec: ["--json", "--tsv"],
+    lambda draw, spec: ["--"],
+]
+BAD_COMMANDS = ["redu", "-h", "--help", "bogus", ""]
+# how an argv is drawn: well formed, with one fault, with a second "--"
+# after the first, with a "--" at the end, or with a bad command name
+SHAPES = ["plain"] * 4 + ["fault"] * 6 + ["second --"] * 2 + ["final --", "command"]
+
+
+@st.composite
+def argvs(draw):
+    # the options and factors of one command in any order, now and then
+    # with a "--" after the options, and then changed as the shape says; a
+    # fault goes in before any "--", and the options it names are left out
+    # of the rest
+    shape = draw(st.sampled_from(SHAPES))
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    spec = cli.COMMANDS[command]
+    stray = draw(st.sampled_from(FAULTS))(draw, spec) if shape == "fault" else []
+    named = {tok.partition("=")[0] for tok in stray}
+    pieces = [_option(draw, o) for o in spec.options
+              if "--" + o[0] not in named and draw(st.booleans())]
+    n = len(spec.positionals)
+    pieces += [[f] for f in draw(st.lists(st.sampled_from(FACTORS),
+                                          min_size=n, max_size=n))]
+    argv, after_options = [], 0
+    for piece in draw(st.permutations(pieces)):
+        argv += piece
+        if piece[0].startswith("-"):
+            after_options = len(argv)
+    end = len(argv)
+    if after_options < end and (shape == "second --" or draw(st.booleans())):
+        # a factor after the "--" may start with "-"
+        end = draw(st.integers(after_options, len(argv) - 1))
+        argv[end:] = ["--"] + [draw(st.sampled_from([t, "-" + t])) for t in argv[end:]]
+        if shape == "second --":
+            argv.insert(draw(st.integers(end + 1, len(argv) - 1)), "--")
+    at = draw(st.integers(0, end))
+    argv[at:at] = stray
+    if shape == "final --":
+        argv.append("--")
+    elif shape == "command":
+        command = draw(st.sampled_from(BAD_COMMANDS))
+    return [command] + argv
+
+
+@settings(max_examples=1000)
+@given(argvs())
+# one argv for each way of leaving the plain shape that argparse rejects
+@example(["reduce", "--mu", "-1/2", "z1", "zb1"])
+@example(["star", "--mode", "bogus", "q1", "p1"])
+@example(["star", "--", "q1", "--", "p1"])
+@example(["reduce", "z1", "zb1", "--json", "--"])
+@example(["coeffs", "--json", "--tsv"])
+@example(["obstruct", "z1"])
+def test_table_parser_agrees_with_argparse(argv):
+    ns = cli.parse_plain(argv)
+    if ns is not None:
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+
+
+def _readme_argvs():
+    import shlex
+
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("costar ")]
+
+
+def _benchmark_argvs():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [op["argv"] for seed in (11, 47)
+            for ops in (workloads.sphere_reduce_ops(seed),
+                        workloads.coeff_tables_ops(seed))
+            for op in ops]
+
+
+def test_benchmark_and_readme_argvs_take_the_table_path():
+    readme = _readme_argvs()
+    assert len(readme) == 7
+    for argv in _benchmark_argvs() + readme:
+        ns = cli.parse_plain(argv)
+        assert ns is not None, argv
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_cli_import_and_plain_command_load_no_argparse():
+    # argparse, and the gettext and locale it loads on its first message,
+    # cost more than a small command; only help and errors build it
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, costar.cli\n"
+            "loaded = lambda: sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+            "print(loaded())\n"
+            "costar.cli.main(['coeffs', '--kmax', '1', '--lmax', '2', '--tsv'])\n"
+            "print(loaded())\n"
+            "costar.cli.main(['coeffs', '--kmax', '1', '--lmax=x'])\n"
+            "print(loaded())\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n1\t-2\n[]\n['argparse', 'gettext', 'locale']\n"
+    assert "invalid int value: 'x'" in done.stderr

@@ -166,6 +166,25 @@ def test_quadratic_table_letter_calls_are_linear_in_lmax(monkeypatch):
     cpn._quadratic_row.cache_clear()
 
 
+def test_quadratic_row_takes_one_quotient_per_cell(monkeypatch):
+    # R(h_{l-2}) reuses the quotient that P(h_{l-2}) took, so the 6 cells
+    # h_0..h_5 of a row take the quotients of h_0..h_4 and the one that
+    # PhaseSetup checks pi_J(J) = 1 with: 6 pij calls, not 5 + 4 + 1
+    calls = []
+    pij = radialphase.pij
+
+    def counted(f, constraint):
+        calls.append(f)
+        return pij(f, constraint)
+
+    monkeypatch.setattr(radialphase, "pij", counted)
+    mu = Fraction(-1, 2)
+    row = cpn._quadratic_row.__wrapped__(3, 6, mu)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert list(row) == [word_sum_cell(3, l, mu) for l in range(6)]
+
+
 def test_coefficient_table_layout():
     table = coefficient_table("linear", 3, 4)
     assert len(table) == 3 and all(len(row) == 4 for row in table)

@@ -341,17 +341,29 @@ def paper_transfer(setup, n, f):
 
 
 def sample_series(setup, order):
+    # a_m carries J^m, so T_m a_m is not zero and every order of the
+    # transfer is compared (test_sample_series_reaches_every_order)
     if setup.label.startswith("flat"):
         q1, q2, p1, p2 = (FlatPoly.q(1, 2), FlatPoly.q(2, 2),
                           FlatPoly.p(1, 2), FlatPoly.p(2, 2))
-        elems = [q1 * p2 * p2 + q2, q2 * q2 * p1 - p2.scale(I), q1 * p2 + setup.one,
-                 q2 ** 3 * p2, p1 * p2 - q2.scale(HALF)]
+        elems = [q1 * p2 * p2 + q2, q2 * q2 * p1 - p2.scale(I),
+                 q1 * q2 * q2 + setup.one, q2 ** 3 * p2, q2 ** 4 * p1 - q2.scale(HALF)]
     else:
         u, inv_u = RadialFun.u(2), RadialRational.u_power(-1)
         elems = [HOMOG[1] + u, HOMOG[4] * u * u - HOMOG[2], u * u + setup.one,
                  RadialFun.monomial((1, 0), (1, 0), radial=inv_u) * u ** 3,
                  HOMOG[3].scale(I) + u]
-    return LambdaSeries(tuple(elems[: order + 1]))
+    return LambdaSeries(tuple(f * setup.j ** m if m else f
+                              for m, f in enumerate(elems[: order + 1])))
+
+
+@pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
+def test_sample_series_reaches_every_order(setup):
+    # with T_m a_m = 0 for m >= 2 a fault in the higher transfer orders
+    # would go unseen by the tests that read sample_series
+    a = sample_series(setup, 4)
+    for m in range(5):
+        assert not transfer_series(setup, setup.as_series(a[m], 4))[m].is_zero()
 
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
