@@ -13,8 +13,9 @@ Each mutant changes one line.  Its source text may carry a neighbouring
 line as context, so that the text occurs exactly once in its file.  The
 script is standard library only; the tests need pytest and hypothesis.
 Hypothesis runs with a fixed seed and a fresh example database, so a run
-is repeatable.  Mutants are tested JOBS at a time, each in its own
-pytest process.
+is repeatable.  The named tests first run on the unmutated source, split
+into JOBS pytest processes; then mutants are tested JOBS at a time, each
+in its own pytest process.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ T_OBSTRUCT = "tests/test_cpn.py::test_obstruction_matches_four_reduced_products"
 T_LETTERS = "tests/test_cpn.py::test_pr_letters_kernel_vs_euler"
 T_RUNS = "tests/test_reduction.py::test_transfer_ops_runs_outlive_their_inputs"
 T_JETS = "tests/test_sphere_jets.py::test_prol_transfer_matches_generic"
+T_JET_STAR = "tests/test_sphere_jets.py::test_reduce_star_series_matches_generic"
+T_IS_ZERO = "tests/test_sphere_jets.py::test_is_zero_matches_the_expansion"
 T_ROW = "tests/test_cpn.py::test_quadratic_row_takes_one_quotient_per_cell"
 T_TABLE = "tests/test_cli.py::test_table_parser_agrees_with_argparse"
 
@@ -107,16 +110,16 @@ MUTANTS = [
      [T_MOYAL]),
     # radial derivatives and Euler operators
     ("derivative reads key[0] for key[side]", RADIAL,
-     "e = key[side][idx]",
-     "e = key[0][idx]",
+     "for key, r in self.terms.items():\n            e = key[side][idx]",
+     "for key, r in self.terms.items():\n            e = key[0][idx]",
      [T_MIRROR]),
     ("euler reads key[0] for key[side]", RADIAL,
      "nr = r.scale(sum(key[side])) + u * r.derivative()",
      "nr = r.scale(sum(key[0])) + u * r.derivative()",
      [T_MIRROR]),
     ("R' raises its own side", RADIAL,
-     "nk[1 - side] = _bump(key[1 - side], idx, 1)",
-     "nk[side] = _bump(key[side], idx, 1)",
+     "nk[1 - side] = _bump(key[1 - side], idx, 1)\n                out.append(",
+     "nk[side] = _bump(key[side], idx, 1)\n                out.append(",
      [T_DERIV]),
     ("derivative drops the factor e", RADIAL,
      "out.append((nk, r.scale(e)))",
@@ -145,8 +148,8 @@ MUTANTS = [
      "acc = acc + self.ops[k](h[m - k])",
      [T_NEUMANN]),
     ("reduce_star_series skips apply_inverse", REDUCTION,
-     "return s_inverse(prol_transfer(setup, ambient))",
-     "return prol_transfer(setup, ambient)",
+     "return s_inverse(prol_transfer_star(setup, s(fs), s(gs)))",
+     "return prol_transfer_star(setup, s(fs), s(gs))",
      [T_INTERTWINER]),
     ("transfer run holds a copy of its input", REDUCTION,
      "run.push(f)",
@@ -248,8 +251,8 @@ MUTANTS = [
      [T_OBSTRUCT]),
     # prol(T(series)) on Taylor jets at the sphere
     ("jet one coefficient short", RADIAL,
-     "lengths = [2 * (n - m) + 1 for m in range(n + 1)]",
-     "lengths = [2 * (n - m) for m in range(n + 1)]",
+     "return [2 * (n - m) + 1 for m in range(n + 1)]",
+     "return [2 * (n - m) for m in range(n + 1)]",
      [T_JETS]),
     ("dim-1 raised key drops its (a + t) factor", RADIAL,
      "_merge(out, key, dc.jet_mul(self.u_jet, n))",
@@ -263,6 +266,24 @@ MUTANTS = [
      "e = sum(key[Z]) - s\n            if e:\n                _merge(",
      "e = sum(key[Z])\n            if e:\n                _merge(",
      [T_JETS]),
+    # the Wick product on jets from the factors
+    ("jet Wick weight 2^r/r! for 2^r/k!", RADIAL,
+     "return tuple((k, Fraction(2 ** r, _multi_factorial(k)))",
+     "return tuple((k, Fraction(2 ** r, factorial(r)))",
+     [T_JET_STAR]),
+    ("jet product drops the dim-1 fold", RADIAL,
+     "if self.dim == 1:\n                    m = min(",
+     "if False:\n                    m = min(",
+     [T_JET_STAR]),
+    # RadialFun.is_zero on integer cells
+    ("integer cells drop the imaginary part", RADIAL,
+     "y = im[k - shift] if im is not None else 0",
+     "y = 0",
+     [T_IS_ZERO]),
+    ("power-of-u shift off by one", RADIAL,
+     "nums = [(r.num, top - r.den.degree()) for _, r in terms]",
+     "nums = [(r.num, top - r.den.degree() - 1) for _, r in terms]",
+     [T_IS_ZERO]),
     # the table parser of the command line against argparse
     ("table parser takes a separate value that starts with -", CLI,
      'if value.startswith("-"):',
@@ -304,6 +325,14 @@ def run_tests(src, tests, workdir):
     return done.returncode == 0
 
 
+def _workdir(tmp, name):
+    # a fresh working directory, so that no two test runs share hypothesis's
+    # example database
+    work = Path(tmp) / name
+    work.mkdir()
+    return work
+
+
 def judge(tmp, pristine, n, mutant):
     """Apply mutant number n to a copy of the pristine source and run its
     tests: "killed", "survived" or "STALE"."""
@@ -313,9 +342,7 @@ def judge(tmp, pristine, n, mutant):
     try:
         if not apply_mutant(src, path, old, new):
             return "STALE"
-        work = Path(tmp) / ("w%d" % n)
-        work.mkdir()
-        return "survived" if run_tests(src, tests, work) else "killed"
+        return "survived" if run_tests(src, tests, _workdir(tmp, "w%d" % n)) else "killed"
     finally:
         shutil.rmtree(src)
 
@@ -327,10 +354,14 @@ def main():
         shutil.copytree(ROOT / "src", pristine,
                         ignore=shutil.ignore_patterns("__pycache__"))
         every = sorted({t for m in MUTANTS for t in m[4]})
-        if not run_tests(pristine, every, tmp):
-            print("the named tests fail on the unmutated source; nothing to measure")
-            return 2
         with ThreadPoolExecutor(JOBS) as pool:
+            # every named test on the unmutated source, split over the jobs
+            parts = list(pool.map(lambda i: run_tests(pristine, every[i::JOBS],
+                                                      _workdir(tmp, "p%d" % i)),
+                                  range(JOBS)))
+            if not all(parts):
+                print("the named tests fail on the unmutated source; nothing to measure")
+                return 2
             # map yields the verdicts in the order of MUTANTS
             verdicts = pool.map(lambda job: judge(tmp, pristine, *job),
                                 enumerate(MUTANTS))

@@ -111,6 +111,8 @@ class ParseError(ValueError):
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[+\-*/^()])"
 )
+# a coordinate name: its letters and its 1-based index
+_NAME = re.compile(r"([A-Za-z]+)(\d+)")
 
 
 def tokenize(text):
@@ -250,7 +252,7 @@ class _Parser:
             return self.constant(I)
         if text == "u" and self.radial:
             return RadialFun.u(self.dim)
-        m = re.fullmatch(r"([A-Za-z]+)(\d+)", text)
+        m = _NAME.fullmatch(text)
         make = m and self.makers.get(m.group(1))
         if not make:
             names = ["%s<i>" % letter for letter in self.makers]

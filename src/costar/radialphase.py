@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 from operator import add, methodcaller, sub
 
 from .scalar import (
@@ -219,21 +220,71 @@ class RadialFun(TermRing):
         alpha - beta, and terms of different classes never cancel.  A class
         of one stored term is nonzero: its cells with |s| = k carry the
         coefficient of u^k in the numerator of R.  So only the classes of
-        two or more terms are expanded, smallest first, up to the first
-        nonzero one.
+        two or more terms are decided, smallest first, up to the first
+        nonzero one, each on integer cells (_class_is_zero).
         """
         classes = {}
         for key, r in self.terms.items():
-            classes.setdefault(tuple(map(sub, *key)), {})[key] = r
+            classes.setdefault(tuple(map(sub, *key)), []).append((key, r))
         if any(len(terms) == 1 for terms in classes.values()):
             return False
-        return not any(RadialFun._of_terms(self.dim, terms).expansion()[1]
-                       for terms in sorted(classes.values(), key=len))
+        return all(_class_is_zero(terms, self.dim)
+                   for terms in sorted(classes.values(), key=len))
 
     def __eq__(self, other):
         # stored terms are not canonical, so unequal ones go to the normal form
         eq = TermRing.__eq__(self, other)
         return (self - other).is_zero() if eq is False else eq
+
+
+@cache
+def _multinomials(k, dim):
+    # (s, k!/s!) over the s with |s| = k: u^k = sum_s (k!/s!) z^s zbar^s
+    return tuple((s, factorial(k) // _multi_factorial(s))
+                 for s in _compositions(k, dim))
+
+
+def _class_is_zero(terms, dim):
+    """True iff the (key, RadialRational) pairs of one class alpha - beta
+    sum to zero, decided as expansion decides it, on integer cells.
+
+    The numerators are brought over one denominator D(u) and one integer
+    d, so that term i reads (re_i + I*im_i)(u) / (d D(u)) with integer
+    lists re_i and im_i; then u^k of term (alpha, beta) adds (k!/s!) times
+    its integer pair to the cell alpha + s for each |s| = k, and the class
+    is zero iff every cell is.  Where every denominator is a power of u,
+    as on every output of prol, D = u^top and numerator i is only shifted
+    by top - deg den_i.
+    """
+    dens = [r.den for _, r in terms]
+    # a monic denominator is u^deg iff it is real with no lower coefficient
+    if all(im is None and not any(re[:-1])
+           for re, im, _ in map(UPoly.integers, dens)):
+        top = max(map(UPoly.degree, dens))
+        nums = [(r.num, top - r.den.degree()) for _, r in terms]
+    else:
+        den = UPoly.of(1)
+        for d in dens:
+            den = den.lcm(d)
+        nums = [(r.num * den.exact_div(r.den), 0) for _, r in terms]
+    nums = [(num.integers(), shift) for num, shift in nums]
+    d = 1
+    for (_, _, den), _ in nums:
+        d = d * den // gcd(d, den)
+    re_cells, im_cells = {}, {}
+    for ((alpha, _), _), ((re, im, den), shift) in zip(terms, nums):
+        m = d // den
+        for k, x in enumerate(re, shift):
+            y = im[k - shift] if im is not None else 0
+            if not x and not y:
+                continue
+            for s, c in _multinomials(k, dim):
+                cell = tuple(map(add, alpha, s))
+                if x:
+                    re_cells[cell] = re_cells.get(cell, 0) + c * m * x
+                if y:
+                    im_cells[cell] = im_cells.get(cell, 0) + c * m * y
+    return not any(re_cells.values()) and not any(im_cells.values())
 
 
 def scalar_ratio(x, y):
@@ -428,6 +479,18 @@ def constraint_kernel(constraint):
     return kernel
 
 
+def _lengths(n):
+    # the jet length of order m in a transfer to order n: 2(n - m) + 1
+    return [2 * (n - m) + 1 for m in range(n + 1)]
+
+
+@cache
+def _wick_weights(r, dim):
+    # (k, 2^r/k!) for the multi-indices k of order r, the terms of M_r
+    return tuple((k, Fraction(2 ** r, _multi_factorial(k)))
+                 for k in _compositions(r, dim))
+
+
 class _SphereJets:
     """Taylor jets in t = u - a at the sphere a = -2*mu, for one transfer.
 
@@ -543,24 +606,131 @@ class _SphereJets:
                     _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
         return out
 
+    def derivative(self, x, side, idx, n):
+        """d/dz^i (side Z) or d/dzbar^i (side ZBAR), i = idx + 1, as
+        RadialFun._derivative spells it, to n coefficients: e x at the key
+        lowered on its own side, and x' at the key raised on the other.
+        In dim 1 the keys are left unfolded: the derivatives keep the ideal
+        of z zbar - u, so multiply's fold gives the terms of the folded
+        derivatives."""
+        out = {}
+        for key, c in x.items():
+            e = key[side][idx]
+            if e:
+                nk = list(key)
+                nk[side] = _bump(key[side], idx, -1)
+                _merge(out, tuple(nk), c.truncated(n).scale(e))
+            dc = c.derivative().truncated(n)
+            if dc:
+                nk = list(key)
+                nk[1 - side] = _bump(key[1 - side], idx, 1)
+                _merge(out, tuple(nk), dc)
+        return out
+
+    def derived(self, memo, k, side, n):
+        # D^k x for the multi-index k, from memo, which maps multi-indices
+        # to jets and holds x at k = 0 with n coefficients; D^k x has
+        # n - |k| of them
+        out = memo.get(k)
+        if out is None:
+            i = max(i for i, e in enumerate(k) if e)
+            prev = self.derived(memo, _bump(k, i, -1), side, n)
+            out = memo[k] = self.derivative(prev, side, i, n - sum(k)) if prev else {}
+        return out
+
+    def multiply(self, out, x, y, w, n):
+        # add w x y to out, to n coefficients, with the keys added as
+        # RadialFun._key_product adds them and folded in dim 1 as __init__
+        # strips z^m zbar^m into u^m
+        for (alpha, beta), c in x.items():
+            c = c.truncated(n)
+            if w != 1:
+                c = c.scale(w)
+            for (gamma, delta), d in y.items():
+                key = tuple(map(add, alpha, gamma)), tuple(map(add, beta, delta))
+                p = c.jet_mul(d, n)
+                if self.dim == 1:
+                    m = min(key[Z][0], key[ZBAR][0])
+                    if m:
+                        key = (key[Z][0] - m,), (key[ZBAR][0] - m,)
+                        p = p.jet_mul(self.u_jet ** m, n)
+                _merge(out, key, p)
+
+    def wick(self, fs, gs, n):
+        """The jets of a_m = sum_{j+k+r=m} M_r(f_j, g_k) for m = 0..n, the
+        coefficients of star_series(fs, gs), to 2(n - m) + 1 coefficients.
+
+        M_r(f, g) = sum_{|k|=r} (2^r/k!) D^k f Dbar^k g is the sum that
+        wick_kernel takes, D^k the derivatives by z and Dbar^k those by
+        zbar.  f_j is converted once, to 2(n - j) + 1 coefficients, and
+        D^k f_j is memoised per multi-index k, to 2(n - j) + 1 - |k|: enough,
+        as M_r(f_j, g_k) feeds a_{j+k+r}, of length 2(n - j - k - r) + 1.
+        The key of each term is the key that star_series stores it at, and
+        its jet the jet of what it stores there, so the sums of the jets at
+        each key are the jets of the terms of a_m.  The coefficients are
+        converted f_0 .. f_n, then g_0 .. g_n, and convert raises prol's
+        ParityError or PoleError for the first odd term or pole at a.
+        """
+        lengths = _lengths(n)
+        zero = (0,) * self.dim
+        fd = [{zero: self.convert(fs[j], lengths[j])} for j in range(n + 1)]
+        gd = [{zero: self.convert(gs[j], lengths[j])} for j in range(n + 1)]
+        a = [{} for _ in range(n + 1)]
+        for j in range(n + 1):
+            for k in range(n + 1 - j):
+                if not fd[j][zero] or not gd[k][zero]:
+                    continue
+                for r in range(n + 1 - j - k):
+                    for idx, w in _wick_weights(r, self.dim):
+                        df = self.derived(fd[j], idx, Z, lengths[j])
+                        dg = self.derived(gd[k], idx, ZBAR, lengths[k])
+                        if df and dg:
+                            self.multiply(a[j + k + r], df, dg, w, lengths[j + k + r])
+        return a
+
+    def transfer(self, a, n):
+        """prol(h_m) for h = T(a), yielded for m = 0..n, from the iterable
+        a of the jets of a_0 .. a_n, to 2(n - m) + 1 coefficients each; a_m
+        is read at order m.
+
+        It runs the forward substitution h_m = a_m - sum_k M_k(pi_J
+        h_{m-k}, J) of reduction.transfer_series on the jets.  prol reads
+        only the values h_m(a) of the radial parts, and every step is a map
+        on the stored terms key by key (pij, the Euler steps of
+        constraint_kernel, the product by parts[r]), so the jets of the
+        terms of h_m carry all that the answer needs, and prol yields the
+        same terms as on h_m.
+
+        Lengths: prol(h_n) needs coefficient 0 of h_n only.  A term of h_m
+        reaches h_{m+k} through pij, which divides by t, and k Euler steps,
+        each of which differentiates; each loses the top coefficient.  So
+        h_m needs L_m >= L_{m+k} + k + 1 coefficients for every k >= 1, and
+        the largest bound, at k = 1, gives L_m = 2(n - m) + 1.
+        """
+        lengths = _lengths(n)
+        pending = [{} for _ in range(n + 1)]  # -sum_k M_k(pi_J h_{m-k}, J)
+        for m, h in enumerate(a):
+            for key, c in pending[m].items():
+                _merge(h, key, c)
+            yield self.prol(h)
+            if m == n:
+                break
+            # M_k(pi_J h_m, J) = parts[k] (E - k + 1) ... (E - 1) E pi_J h_m
+            x = self.pij(h, lengths[m])
+            for k in range(1, min(len(self.parts), n - m + 1)):
+                x = self.euler(x, k - 1, lengths[m] - 1 - k)
+                part, out = self.of(-self.parts[k], lengths[m + k]), pending[m + k]
+                for key, c in x.items():
+                    _merge(out, key, c.jet_mul(part, lengths[m + k]))
+
 
 def prol_transfer(series, constraint):
     """prol(T(series)) for a sphere constraint, yielded order by order.
 
-    It runs the forward substitution h_m = a_m - sum_k M_k(pi_J h_{m-k}, J)
-    of reduction.transfer_series, but on Taylor jets in t = u - a at the
-    sphere a = -2*mu, with no rational function of u inside it.  prol reads
-    only the values h_m(a) of the radial parts, and every step is a map on
-    the stored terms key by key (pij, the Euler steps of constraint_kernel,
-    the product by parts[r]), so the jets of the terms of h_m carry all
-    that the answer needs, and prol yields the same terms as on h_m.
-
-    Lengths: prol(h_n) needs coefficient 0 of h_n only.  A term of h_m
-    reaches h_{m+k} through pij, which divides by t, and k Euler steps,
-    each of which differentiates; each loses the top coefficient.  So h_m
-    needs L_m >= L_{m+k} + k + 1 coefficients for every k >= 1, and the
-    largest bound, at k = 1, gives L_m = 2(n - m) + 1, with a_m converted
-    to that length.
+    _SphereJets.transfer runs the forward substitution of
+    reduction.transfer_series on Taylor jets in t = u - a at the sphere
+    a = -2*mu, with no rational function of u inside it, and gives the
+    same terms as prol on each order of transfer_series.
 
     Errors: the odd terms and the poles at a of h_m are those of a_m, as
     the kernel terms are even and pole-free there.  So a_m is checked as
@@ -571,23 +741,27 @@ def prol_transfer(series, constraint):
     """
     n = series.order
     jets = _SphereJets(constraint, series[0].dim)
-    lengths = [2 * (n - m) + 1 for m in range(n + 1)]
+    lengths = _lengths(n)
     converted = [jets.convert(series[m], lengths[m]) for m in range(n)]
-    pending = [{} for _ in range(n + 1)]  # -sum_k M_k(pi_J h_{m-k}, J)
-    for m in range(n + 1):
-        h = converted[m] if m < n else jets.convert(series[n], lengths[n])
-        for key, c in pending[m].items():
-            _merge(h, key, c)
-        yield jets.prol(h)
-        if m == n:
-            break
-        # M_k(pi_J h_m, J) = parts[k] (E - k + 1) ... (E - 1) E pi_J h_m
-        x = jets.pij(h, lengths[m])
-        for k in range(1, min(len(jets.parts), n - m + 1)):
-            x = jets.euler(x, k - 1, lengths[m] - 1 - k)
-            part, out = jets.of(-jets.parts[k], lengths[m + k]), pending[m + k]
-            for key, c in x.items():
-                _merge(out, key, c.jet_mul(part, lengths[m + k]))
+    top = (jets.convert(series[n], lengths[n]) for _ in (n,))
+    yield from jets.transfer(chain(converted, top), n)
+
+
+def prol_transfer_star(fs, gs, constraint):
+    """prol(T(fs * gs)) for a sphere constraint, yielded order by order,
+    with the Wick product taken on jets from the factors
+    (_SphereJets.wick): no product, sum or gcd of rational functions of u
+    comes between the factors and prol.  The terms are those of
+    prol_transfer on star_series(fs, gs) with the Wick kernels.
+
+    A factor coefficient up to the order of the product with an odd term
+    or a pole at a raises prol's ParityError or PoleError, before the
+    first yield, even where the product would have none.
+    """
+    fs[0]._check(gs[0])
+    n = min(fs.order, gs.order)
+    jets = _SphereJets(constraint, fs[0].dim)
+    yield from jets.transfer(jets.wick(fs, gs, n), n)
 
 
 def wick_product(f, g, order):

@@ -23,7 +23,9 @@ product of two functions on C is then
 for an intertwiner S that starts at the identity; the default S = id.
 S^{-1} is applied by the same forward substitution, with the terms of S
 in place of the kernels.  prol_transfer gives prol(T(series)), which a
-radial setup computes on Taylor jets at the sphere.
+radial setup computes on Taylor jets at the sphere, and
+prol_transfer_star gives prol(T(fs * gs)), whose Wick product a radial
+setup takes on those jets too.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ class PhaseSetup:
     with prol(j) = 0, and bracket is the Poisson bracket generating kernel
     antisymmetry at order one.  one and zero are the unit and zero of j's
     algebra.  prol_transfer(series) yields prol(T(series)) order by order
-    in a closed form of its own, or is None for prol of transfer_series.
+    in a closed form of its own, or is None for prol of transfer_series;
+    prol_transfer_star(fs, gs) likewise yields prol(T(fs * gs)), or is
+    None for prol_transfer of star_series.
     """
 
     __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "bracket",
-                 "prol_transfer", "one", "zero")
+                 "prol_transfer", "prol_transfer_star", "one", "zero")
 
     def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket,
-                 prol_transfer=None):
+                 prol_transfer=None, prol_transfer_star=None):
         self.label = label
         self.j = j
         self.kernel = kernel
@@ -66,6 +70,7 @@ class PhaseSetup:
         self.pij = pij
         self.bracket = bracket
         self.prol_transfer = prol_transfer
+        self.prol_transfer_star = prol_transfer_star
         self.one = type(j).one(j.dim)
         self.zero = type(j).zero(j.dim)
         if not prol(j).is_zero():
@@ -107,6 +112,8 @@ def radial_setup(constraint, dim):
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
         prol_transfer=lambda series: radialphase.prol_transfer(series, constraint),
+        prol_transfer_star=lambda fs, gs: radialphase.prol_transfer_star(
+            fs, gs, constraint),
     )
 
 
@@ -239,6 +246,19 @@ def star_series(setup, fs, gs):
     return LambdaSeries(tuple(out))
 
 
+def prol_transfer_star(setup, fs, gs):
+    """prol(T(fs * gs)), the reduced image of the star product of two
+    series, order by order.
+
+    Radial setups take the Wick product on Taylor jets at the sphere from
+    the factors (radialphase.prol_transfer_star); flat ones take
+    prol_transfer of star_series.
+    """
+    if setup.prol_transfer_star is not None:
+        return LambdaSeries(tuple(setup.prol_transfer_star(fs, gs)))
+    return prol_transfer(setup, star_series(setup, fs, gs))
+
+
 def star_elements(setup, f, g, order):
     """f * g = sum_r M_r(f, g), one kernel call per order."""
     return kernel_series(setup.kernel, f, g, order)
@@ -284,7 +304,10 @@ def reduce_star_series(setup, fs, gs, intertwiner=None):
     The coefficients are assumed admissible; no membership check is done
     here, so element inputs should go through reduce_star instead.  The
     intertwiner S is an OperatorSeries starting at the identity, or None
-    for S = id.
+    for S = id.  prol(T(S fs * S gs)) comes from prol_transfer_star, so on
+    a radial setup a coefficient of S fs or S gs up to the product's order
+    with an odd term or a pole at the sphere raises prol's ParityError or
+    PoleError for that coefficient, even where the product has none.
     """
     if intertwiner is None:
         s = s_inverse = identity
@@ -292,8 +315,7 @@ def reduce_star_series(setup, fs, gs, intertwiner=None):
         raise ValueError("intertwiner must start at the identity")
     else:
         s, s_inverse = intertwiner.apply, intertwiner.apply_inverse
-    ambient = star_series(setup, s(fs), s(gs))
-    return s_inverse(prol_transfer(setup, ambient))
+    return s_inverse(prol_transfer_star(setup, s(fs), s(gs)))
 
 
 def require_admissible(setup, f, g):

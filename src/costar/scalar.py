@@ -656,6 +656,11 @@ class UPoly:
             raise ValueError("a power of u in a polynomial must be nonnegative")
         return _reduced([0] * power + [1], None, 1, 1)
 
+    def integers(self):
+        """The stored form (re, im, den), self = (re + I*im)/den: int
+        lists (im None when every coefficient is real) and an int den."""
+        return self._re, self._im, self._den
+
     def is_zero(self):
         return not self._re
 
@@ -744,8 +749,18 @@ class UPoly:
         return _reduced(re, im, den, den)
 
     def jet_mul(self, other, n):
-        """self * other mod u**n, from the operands mod u**n."""
-        return (self.truncated(n) * other.truncated(n)).truncated(n)
+        """self * other mod u**n, from the operands mod u**n; on real
+        operands one integer convolution of the first n coefficients."""
+        a, b = self._re, other._re
+        if self._im is not None or other._im is not None or not a or not b:
+            return (self.truncated(n) * other.truncated(n)).truncated(n)
+        re = [0] * min(n, len(a) + len(b) - 1)
+        for j, x in enumerate(a[:n]):
+            if x:
+                for k, y in enumerate(b[:n - j], j):
+                    re[k] += x * y
+        den = self._den * other._den
+        return _reduced(re, None, den, den)
 
     __rmul__ = __mul__
 

@@ -363,14 +363,15 @@ reference_polys = st.one_of(
 
 @settings(max_examples=200)
 @given(reference_polys, reference_polys, reference_polys, wide_gaussians,
-       wide_gaussians)
-def test_upoly_matches_reference(a, b, common, c, x):
+       wide_gaussians, st.integers(0, 8))
+def test_upoly_matches_reference(a, b, common, c, x, n):
     ra, rb = _ref(a), _ref(b)
     _same(a, ra)
     _same(a + b, ra + rb)
     _same(a - b, ra - rb)
     _same(-a, -ra)
     _same(a * b, ra * rb)
+    _same(a.jet_mul(b, n), _RefUPoly((ra * rb).cs[:n]))
     _same(a.scale(c), ra.scale(c))
     _same(a.monic(), ra.monic())
     _same(a.derivative(), ra.derivative())

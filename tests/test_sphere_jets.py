@@ -1,5 +1,6 @@
-"""prol(T(series)) on Taylor jets at the sphere against prol of the
-generic transfer_series, and RadialFun.is_zero against its expansion."""
+"""prol(T(series)) and prol(T(fs * gs)) on Taylor jets at the sphere
+against prol of the generic transfer_series and star_series, and
+RadialFun.is_zero against its expansion."""
 
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costar import radialphase
 from costar.radialphase import ParityError, RadialConstraint, RadialFun
 from costar.reduction import (
     PhaseSetup,
@@ -15,15 +17,24 @@ from costar.reduction import (
     prol_transfer,
     radial_setup,
     reduce_star,
+    reduce_star_series,
     transfer_series,
 )
-from costar.scalar import GaussianRational, LambdaSeries, PoleError, RadialRational, UPoly
+from costar.scalar import (
+    GaussianRational,
+    I,
+    LambdaSeries,
+    PoleError,
+    RadialRational,
+    UPoly,
+)
 
 MUS = [Fraction(-1, 2), Fraction(-1), Fraction(-3, 2)]
 
 
 def generic(setup):
-    # the same setup without its jet path: prol of transfer_series
+    # the same setup without its jet paths: prol of transfer_series, on
+    # star_series with the Wick kernels
     return PhaseSetup(setup.label, setup.j, setup.kernel, setup.j_kernel,
                       setup.prol, setup.pij, setup.bracket)
 
@@ -41,19 +52,23 @@ def keys(dim, degree):
     return out
 
 
+def gaussians():
+    return st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2)).filter(bool)
+
+
 def radial_parts():
     # c u^e num(u) / (u + 1)^k: no pole on the spheres a = 1, 2, 3
     return st.builds(
         lambda c, e, num, k: RadialRational(
             UPoly(num or [1]), UPoly((1, 1)) ** k).scale(c) * RadialRational.u_power(e),
-        st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2)).filter(bool),
-        st.integers(-2, 1), st.lists(st.integers(-2, 2), max_size=3), st.integers(0, 1))
+        gaussians(), st.integers(-2, 1), st.lists(st.integers(-2, 2), max_size=3),
+        st.integers(0, 1))
 
 
-def funs(dim, degrees=(0, 2, 4)):
+def funs(dim, degrees=(0, 2, 4), min_size=0):
     ks = [k for d in degrees for k in keys(dim, d)]
     return st.lists(st.tuples(st.sampled_from(ks), radial_parts()),
-                    max_size=3).map(lambda ts: RadialFun(dim, ts))
+                    min_size=min_size, max_size=3).map(lambda ts: RadialFun(dim, ts))
 
 
 @st.composite
@@ -133,12 +148,70 @@ def test_errors_match_the_generic_path(kind, at, bad):
             assert got == (("value", False) if at == 3 else want)
 
 
+@st.composite
+def factor_series(draw):
+    # two series of even factors with no pole at the sphere, of orders n
+    # and n or n + 1 on one setup, the longer one truncated by the product
+    dim = draw(st.sampled_from([1, 2, 3]))
+    constraint = RadialConstraint(draw(st.sampled_from(["linear", "quadratic"])),
+                                  draw(st.sampled_from(MUS)))
+    n = draw(st.integers(0, 4 if dim < 3 else 3))
+
+    def series():
+        order = n + draw(st.integers(0, 1))
+        return LambdaSeries((draw(funs(dim, min_size=1)),) + tuple(
+            draw(funs(dim)) for _ in range(order)))
+
+    return radial_setup(constraint, dim), series(), series()
+
+
+@settings(max_examples=200)
+@given(factor_series())
+def test_reduce_star_series_matches_generic(case):
+    # the Wick product on jets from the factors against prol_transfer of
+    # star_series: the same stored terms at every order
+    setup, fs, gs = case
+    got = reduce_star_series(setup, fs, gs)
+    want = reduce_star_series(generic(setup), fs, gs)
+    assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+
+
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
-def test_radial_reduce_star_makes_no_j_kernel_call(kind):
+@pytest.mark.parametrize("at", range(3))
+@pytest.mark.parametrize("bad", BAD, ids=["odd", "pole"])
+def test_reduce_star_series_checks_the_factors(kind, at, bad):
+    # an odd term or a pole at a = 2 in coefficient `at` of either factor
+    # raises what prol raises on that coefficient
+    setup = radial_setup(RadialConstraint(kind, -1), 2)
+    ok = RadialFun.z(1, 2) * RadialFun.zbar(2, 2) * RadialRational.u_power(-1)
+    for left in (True, False):
+        coeffs = [ok, ok.scale(2), setup.one]
+        coeffs[at] = coeffs[at] + bad
+        bad_series = LambdaSeries(tuple(coeffs))
+        fs, gs = (bad_series, setup.as_series(ok, 2)) if left else (
+            setup.as_series(ok, 2), bad_series)
+        want = outcome(lambda: setup.prol(coeffs[at]))
+        assert want[0] in (ParityError, PoleError)
+        assert outcome(lambda: reduce_star_series(setup, fs, gs)) == want
+
+
+def test_odd_factors_raise_where_their_product_is_even():
+    # z1 * zb1 = z1 zb1 + 2 is even, and the generic path reduces it; the
+    # jets refuse the odd factors, as the reduce_star_series docstring says
+    setup = radial_setup(RadialConstraint.linear(-1), 2)
+    fs, gs = setup.as_series(RadialFun.z(1, 2), 2), setup.as_series(RadialFun.zbar(1, 2), 2)
+    assert outcome(lambda: reduce_star_series(generic(setup), fs, gs))[0] == "value"
+    assert outcome(lambda: reduce_star_series(setup, fs, gs)) == outcome(
+        lambda: setup.prol(fs[0]))
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_radial_reduce_star_makes_no_j_kernel_call(kind, monkeypatch):
+    # nor any call of wick_kernel: the Wick product is taken on the jets
     constraint = RadialConstraint(kind, Fraction(-3, 2))
     setup = radial_setup(constraint, 3)
     calls = Counter()
-    j_kernel, pij = setup.j_kernel, setup.pij
+    j_kernel, pij, kernel = setup.j_kernel, setup.pij, radialphase.wick_kernel
 
     def counted_j_kernel(f, r):
         calls["j_kernel"] += 1
@@ -148,7 +221,12 @@ def test_radial_reduce_star_makes_no_j_kernel_call(kind):
         calls["pij"] += 1
         return pij(f)
 
-    setup.j_kernel, setup.pij = counted_j_kernel, counted_pij
+    def counted_kernel(f, g, r):
+        calls["wick_kernel"] += 1
+        return kernel(f, g, r)
+
+    setup.j_kernel, setup.pij, setup.kernel = counted_j_kernel, counted_pij, counted_kernel
+    monkeypatch.setattr(radialphase, "wick_kernel", counted_kernel)
     f = RadialFun.monomial((1, 0, 0), (0, 1, 0), radial=RadialRational.u_power(-1))
     g = RadialFun.monomial((0, 1, 0), (0, 0, 1), radial=RadialRational.u_power(-1))
     got = reduce_star(setup, f, g, 4)
@@ -156,16 +234,32 @@ def test_radial_reduce_star_makes_no_j_kernel_call(kind):
     assert got == reduce_star(generic(radial_setup(constraint, 3)), f, g, 4)
 
 
+def prolonged(dim):
+    # prol-shaped: c z^alpha zbar^beta u^-h with |alpha| + |beta| = 2h
+    return st.lists(st.tuples(st.sampled_from(keys(dim, 0) + keys(dim, 2) + keys(dim, 4)),
+                              gaussians()), min_size=1, max_size=3).map(
+        lambda ts: RadialFun(dim, [(key, RadialRational.u_power(
+            -((sum(key[0]) + sum(key[1])) // 2)).scale(c)) for key, c in ts]))
+
+
 @st.composite
 def cancelling_funs(draw):
     # u spelled as sum z_i zbar_i times random parts, minus the same parts
-    # times u, plus random terms: is_zero must see through the spellings
+    # times u, plus random terms: is_zero must see through the spellings.
+    # The parts are general, or prol-shaped over u (every denominator a
+    # power of u); the extra terms are general, prol-shaped, or i times a
+    # real function whose one class has dim + 1 terms (so only the
+    # imaginary parts of its cells are nonzero)
     dim = draw(st.sampled_from([2, 3]))
     u_sum = sum((RadialFun.z(i, dim) * RadialFun.zbar(i, dim)
                  for i in range(1, dim + 1)), RadialFun.zero(dim))
-    parts = draw(funs(dim, degrees=(0, 1, 2)))
-    extra = draw(st.one_of(st.just(RadialFun.zero(dim)), funs(dim, degrees=(0, 1, 2))))
-    return (u_sum - RadialFun.u(dim)) * parts + extra
+    u = RadialFun.u(dim)
+    parts = draw(st.one_of(funs(dim, degrees=(0, 1, 2)),
+                           prolonged(dim).map(lambda p: p * RadialFun.u(dim, -1))))
+    real = st.integers(1, 3).map(lambda c: (u_sum + u).scale(c) * RadialFun.u(dim, -1))
+    extra = draw(st.one_of(st.just(RadialFun.zero(dim)), funs(dim, degrees=(0, 1, 2)),
+                           prolonged(dim), real.map(lambda f: f.scale(I))))
+    return (u_sum - u) * parts + extra
 
 
 @settings(max_examples=200)
