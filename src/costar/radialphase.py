@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import factorial, gcd
 from operator import add, methodcaller, sub
 
 from .scalar import (
     GaussianRational,
     I,
+    Jet,
     PoleError,
     RadialRational,
     TermRing,
@@ -72,32 +72,33 @@ class RadialFun(TermRing):
             raise ValueError("radial algebra needs dim >= 1")
         self.dim = dim
         out = {}
+        coefficient = self._coefficients
         items = terms.items() if isinstance(terms, dict) else terms
         for (alpha, beta), r in items:
             alpha, beta = tuple(alpha), tuple(beta)
             if len(alpha) != dim or len(beta) != dim:
                 raise ValueError("exponent tuples must have length %d" % dim)
-            if any(e < 0 for e in alpha + beta):
+            if min(alpha + beta) < 0:
                 raise ValueError("negative monomial exponent")
-            r = RadialRational.of(r)
+            r = coefficient.of(r)
             if dim == 1:
                 # z^1 zbar^1 is u itself; strip the common power into R
                 m = min(alpha[0], beta[0])
                 if m:
-                    r = r * RadialRational.u_power(m)
+                    r = r * coefficient.u_power(m)
                     alpha, beta = (alpha[0] - m,), (beta[0] - m,)
             _merge(out, (alpha, beta), r)
         self.terms = out
         self._dcache = {}
 
-    @staticmethod
-    def from_radial(r, dim):
+    @classmethod
+    def from_radial(cls, r, dim):
         z = (0,) * dim
-        return RadialFun(dim, {(z, z): RadialRational.of(r)})
+        return cls(dim, {(z, z): r})
 
-    @staticmethod
-    def constant(c, dim):
-        return RadialFun.from_radial(RadialRational.of(GaussianRational.of(c)), dim)
+    @classmethod
+    def constant(cls, c, dim):
+        return cls.from_radial(GaussianRational.of(c), dim)
 
     @staticmethod
     def u(dim, power=1):
@@ -127,6 +128,11 @@ class RadialFun(TermRing):
         # raw sums: in dim 1, __init__ strips the common power of z zbar
         return tuple(map(add, k1[0], k2[0])), tuple(map(add, k1[1], k2[1]))
 
+    @classmethod
+    def _of_raw_terms(cls, dim, terms):
+        # raw keys are normal forms except in dim 1
+        return cls(dim, terms) if dim == 1 else cls._of_terms(dim, terms)
+
 
     def d_z(self, i):
         """Derivative by z^i (1-based); du/dz^i = zbar^i."""
@@ -144,19 +150,19 @@ class RadialFun(TermRing):
         cached = self._dcache.get((side, idx))
         if cached is not None:
             return cached
-        out = []
+        out = {}
         for key, r in self.terms.items():
             e = key[side][idx]
             if e:
                 nk = list(key)
                 nk[side] = _bump(key[side], idx, -1)
-                out.append((nk, r.scale(e)))
+                _merge(out, tuple(nk), r.derivative_scale(e))
             dr = r.derivative()
             if not dr.is_zero():
                 nk = list(key)
                 nk[1 - side] = _bump(key[1 - side], idx, 1)
-                out.append((nk, dr))
-        res = RadialFun(self.dim, out)
+                _merge(out, tuple(nk), dr)
+        res = self._of_raw_terms(self.dim, out)
         self._dcache[(side, idx)] = res
         return res
 
@@ -348,6 +354,15 @@ class RadialConstraint:
     def j(self, dim):
         return RadialFun.from_radial(self.j_radial(), dim)
 
+    def kernel_parts(self):
+        """parts[r] = (2^r/r!) J^(r) for r = 0..deg J, the radial parts of
+        the Wick kernels against J (constraint_kernel)."""
+        j, parts = self.j_radial(), []
+        for r in range(j.num.degree() + 1):
+            parts.append(j.scale(Fraction(2 ** r, factorial(r))))
+            j = j.derivative()
+        return parts
+
 
 def _require_even(f, op):
     for key in f.terms:
@@ -429,17 +444,10 @@ def wick_kernel(f, g, r):
     return pairing_kernel(f, g, r, _wick_pairs(f.dim), (r,) * f.dim, 2)
 
 
-def _constraint_parts(constraint):
-    # parts[r] = (2^r/r!) J^(r) for r = 0..deg J
-    j, parts = constraint.j_radial(), []
-    for r in range(j.num.degree() + 1):
-        parts.append(j.scale(Fraction(2 ** r, factorial(r))))
-        j = j.derivative()
-    return parts
-
-
-def constraint_kernel(constraint):
-    """The Wick kernel against the constraint, (f, r) -> M_r(f, J).
+def constraint_kernel(parts):
+    """The Wick kernel against the constraint, (f, r) -> M_r(f, J), from
+    parts[r] = (2^r/r!) J^(r) (RadialConstraint.kernel_parts, or their
+    jets for a JetFun f).
 
     J depends on z only through u, so d_zbar^s J = z^s J^(|s|)(u) and
 
@@ -454,314 +462,147 @@ def constraint_kernel(constraint):
     equal those of wick_kernel(f, J, r).  euler_e spells it as u R' at the
     key instead, which restrict keeps apart from the sum.
     """
-    parts = _constraint_parts(constraint)
 
     def kernel(f, r):
         if r < 0:
             raise ValueError("kernel order must be nonnegative")
         if r >= len(parts):
-            return RadialFun.zero(f.dim)
+            return type(f).zero(f.dim)
         for s in range(r):
             # E - s: (|alpha| - s) R at the key, and R' at each raised key
-            out = []
+            out = {}
             for key, c in f.terms.items():
                 e = sum(key[Z]) - s
                 if e:
-                    out.append((key, c.scale(e)))
+                    _merge(out, key, c.derivative_scale(e))
                 dc = c.derivative()
                 if dc:
                     alpha, beta = key
                     for i in range(f.dim):
-                        out.append(((_bump(alpha, i, 1), _bump(beta, i, 1)), dc))
-            f = RadialFun(f.dim, out)
+                        _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
+            f = f._of_raw_terms(f.dim, out)
         return f * parts[r]
 
     return kernel
 
 
-def _lengths(n):
-    # the jet length of order m in a transfer to order n: 2(n - m) + 1
-    return [2 * (n - m) + 1 for m in range(n + 1)]
+class JetFun(RadialFun):
+    """A RadialFun whose radial parts are Jets at the sphere (SphereJets).
+    Its stored terms are its value: no jet is printed or respelled."""
+
+    __slots__ = ()
+    is_zero = TermRing.is_zero
+    __eq__ = TermRing.__eq__
+
+
+def _inverse(d, n):
+    # 1/d mod t**n for a jet d with d(0) != 0
+    d = d.coeffs
+    inv = [1 / d[0]]
+    for k in range(1, n):
+        acc = ZERO
+        for i in range(1, min(k, len(d) - 1) + 1):
+            acc = acc + d[i] * inv[k - i]
+        inv.append(-acc * inv[0])
+    return UPoly(inv)
 
 
 @cache
-def _wick_weights(r, dim):
-    # (k, 2^r/k!) for the multi-indices k of order r, the terms of M_r
-    return tuple((k, Fraction(2 ** r, _multi_factorial(k)))
-                 for k in _compositions(r, dim))
+def _jet_fun(a, top):
+    # the JetFun class over the jets at u = a of at most top coefficients
+    jet = type("Jet", (Jet,), {"__slots__": (), "a": a, "top": top})
+    return type("JetFun", (JetFun,), {"__slots__": (), "_coefficients": jet})
 
 
-class _SphereJets:
-    """Taylor jets in t = u - a at the sphere a = -2*mu, for one transfer.
-
-    A jet is a UPoly in t that holds the first coefficients of a radial
-    part; the caller tracks how many are exact.  The terms of a function
-    become a dict from its keys to jets.  The jets of radial parts and the
-    inverse jets are cached by value and length: the terms of one series
-    repeat a few dozen radial parts.
+class SphereJets:
+    """Taylor jets in t = u - a at the sphere a = -2*mu for a transfer to
+    order n: the ring (fun), the jets of J and of its kernel parts, and
+    prol and pij, for the jet PhaseSetup of reduction.radial_setup.
+    convert(f, m) gives the order-m coefficient 2(n - m) + 1 coefficients,
+    its deficit 2m (README, "Jets at the sphere").  Jets of radial parts
+    are cached: the terms of one series repeat a few dozen of them.
     """
 
-    __slots__ = ("a", "dim", "parts", "jets", "inverses", "prolongations",
-                 "quotient", "u_jet")
+    __slots__ = ("order", "a", "fun", "j", "parts", "quotient", "jets",
+                 "prolongations")
 
-    def __init__(self, constraint, dim):
-        self.a = constraint.sphere_u
-        self.dim = dim
-        self.parts = _constraint_parts(constraint)
-        self.jets, self.inverses, self.prolongations = {}, {}, {}
-        self.u_jet = UPoly((self.a, 1))  # u = a + t
-        # J(a + t) / t, whose inverse is t/J: J has the simple zero t = 0
-        j = constraint.j_radial().num.shifted(self.a, len(self.parts))
-        self.quotient = j.exact_div(UPoly.u(1))
+    def __init__(self, constraint, parts, dim, order):
+        # parts: constraint.kernel_parts(), which are polynomials in u
+        self.order, self.a = order, constraint.sphere_u
+        top = 2 * order + 1
+        self.fun = _jet_fun(self.a, top)
+        jet = self.fun._coefficients
+        self.parts = [jet(p.num.shifted(self.a, top), top) for p in parts]
+        # J(a + t) = parts[0], exact at deg J + 1 coefficients, and given at
+        # least 2, so that pij(J) = 1 keeps a coefficient at order 0
+        j = parts[0].num.shifted(self.a, len(parts))
+        n = max(top, 2)
+        self.j = self.fun.from_radial(jet(j.truncated(n), n), dim)
+        self.jets, self.prolongations = {}, {}
+        # t/J(a + t) to top coefficients: J has the simple zero t = 0
+        self.quotient = _inverse(j.exact_div(UPoly.u(1)), top)
 
-    def inverse(self, d, n):
-        # 1/d mod t**n for a jet d with d(0) != 0
-        key = (d, n)
-        out = self.inverses.get(key)
-        if out is None:
-            d = d.coeffs
-            inv = [1 / d[0]]
-            for k in range(1, n):
-                acc = ZERO
-                for i in range(1, min(k, len(d) - 1) + 1):
-                    acc = acc + d[i] * inv[k - i]
-                inv.append(-acc * inv[0])
-            out = self.inverses[key] = UPoly(inv)
-        return out
-
-    def of(self, r, n):
-        """The jet of the RadialRational r to n coefficients, num(a + t)
+    def jet(self, r, n):
+        """The Jet of the RadialRational r to n coefficients, num(a + t)
         times 1/den(a + t); a pole at a raises the PoleError of eval."""
         key = (r, n)
         out = self.jets.get(key)
         if out is None:
-            out = r.num.shifted(self.a, n)
+            p = r.num.shifted(self.a, n)
             if r.den.degree() > 0:
                 den = r.den.shifted(self.a, n)
                 if not den.eval(0):
                     r.eval(self.a)  # raises
-                out = out.jet_mul(self.inverse(den, n), n)
-            self.jets[key] = out
+                p = p.jet_mul(_inverse(den, n), n)
+            out = self.jets[key] = self.fun._coefficients(p, n)
         return out
 
-    def convert(self, f, n):
-        # the terms of f as jets of n coefficients, checked as prol checks them
+    def convert(self, f, m):
+        # f as coefficient m of a series of the order, checked as prol checks it
+        n = 2 * (self.order - m) + 1
         _require_even(f, "prolongation")
         out = {}
         for key, r in f.terms.items():
-            c = self.of(r, n)
+            c = self.jet(r, n)
             if c:
                 out[key] = c
-        return out
+        return self.fun._of_terms(f.dim, out)
 
-    def prolonged(self, h):
-        # (a/u)^h = a^h u^-h, the prolongation of a key of degree 2h
-        out = self.prolongations.get(h)
+    def prolonged(self, h, n=None):
+        # (a/u)^h = a^h u^-h, the prolongation of a key of degree 2h, or its
+        # jet to n coefficients
+        out = self.prolongations.get((h, n))
         if out is None:
-            out = self.prolongations[h] = RadialRational.u_power(-h).scale(
-                GaussianRational.of(self.a ** h))
+            out = RadialRational.u_power(-h).scale(GaussianRational.of(self.a ** h))
+            if n is not None:
+                out = self.jet(out, n).p
+            self.prolongations[(h, n)] = out
         return out
 
     def prol(self, x):
-        # x(0) (a/u)^h on a key of degree 2h, as prol reads r(a) off its terms
+        # c(0) (a/u)^h on a key of degree 2h, as prol reads r(a) off its terms
         out = {}
-        for key, c in x.items():
-            c0 = c.eval(0)
+        for key, c in x.terms.items():
+            c0 = c.value()
             if c0:
                 h = (sum(key[Z]) + sum(key[ZBAR])) // 2
                 out[key] = self.prolonged(h).scale(c0)
-        return RadialFun._of_terms(self.dim, out)
+        return RadialFun._of_terms(x.dim, out)
 
-    def pij(self, x, n):
-        # (x - x(0) (a/u)^h) / t times t/J: n - 1 coefficients from n
+    def pij(self, x):
+        # (c - c(0) (a/u)^h) / t times t/J on each term: one coefficient less
         out = {}
-        quotient = self.inverse(self.quotient, n - 1)
         t = UPoly.u(1)
-        for key, c in x.items():
-            c0 = c.eval(0)
+        jet = self.fun._coefficients
+        for key, c in x.terms.items():
+            p, n, c0 = c.p, c.n, c.value()
             if c0:
                 h = (sum(key[Z]) + sum(key[ZBAR])) // 2
-                c = c - self.of(self.prolonged(h), n).scale(c0)
-            c = c.exact_div(t)
-            if c:
-                out[key] = c.jet_mul(quotient, n - 1)
-        return out
-
-    def euler(self, x, s, n):
-        """E - s as constraint_kernel spells it, to n coefficients: (|alpha|
-        - s) x at the key and x' at each raised key; in dim 1 __init__
-        strips z zbar into u, so x' (a + t) at the key itself."""
-        out = {}
-        for key, c in x.items():
-            e = sum(key[Z]) - s
-            if e:
-                _merge(out, key, c.truncated(n).scale(e))
-            dc = c.derivative().truncated(n)
-            if dc:
-                if self.dim == 1:
-                    _merge(out, key, dc.jet_mul(self.u_jet, n))
-                    continue
-                alpha, beta = key
-                for i in range(self.dim):
-                    _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
-        return out
-
-    def derivative(self, x, side, idx, n):
-        """d/dz^i (side Z) or d/dzbar^i (side ZBAR), i = idx + 1, as
-        RadialFun._derivative spells it, to n coefficients: e x at the key
-        lowered on its own side, and x' at the key raised on the other.
-        In dim 1 the keys are left unfolded: the derivatives keep the ideal
-        of z zbar - u, so multiply's fold gives the terms of the folded
-        derivatives."""
-        out = {}
-        for key, c in x.items():
-            e = key[side][idx]
-            if e:
-                nk = list(key)
-                nk[side] = _bump(key[side], idx, -1)
-                _merge(out, tuple(nk), c.truncated(n).scale(e))
-            dc = c.derivative().truncated(n)
-            if dc:
-                nk = list(key)
-                nk[1 - side] = _bump(key[1 - side], idx, 1)
-                _merge(out, tuple(nk), dc)
-        return out
-
-    def derived(self, memo, k, side, n):
-        # D^k x for the multi-index k, from memo, which maps multi-indices
-        # to jets and holds x at k = 0 with n coefficients; D^k x has
-        # n - |k| of them
-        out = memo.get(k)
-        if out is None:
-            i = max(i for i, e in enumerate(k) if e)
-            prev = self.derived(memo, _bump(k, i, -1), side, n)
-            out = memo[k] = self.derivative(prev, side, i, n - sum(k)) if prev else {}
-        return out
-
-    def multiply(self, out, x, y, w, n):
-        # add w x y to out, to n coefficients, with the keys added as
-        # RadialFun._key_product adds them and folded in dim 1 as __init__
-        # strips z^m zbar^m into u^m
-        for (alpha, beta), c in x.items():
-            c = c.truncated(n)
-            if w != 1:
-                c = c.scale(w)
-            for (gamma, delta), d in y.items():
-                key = tuple(map(add, alpha, gamma)), tuple(map(add, beta, delta))
-                p = c.jet_mul(d, n)
-                if self.dim == 1:
-                    m = min(key[Z][0], key[ZBAR][0])
-                    if m:
-                        key = (key[Z][0] - m,), (key[ZBAR][0] - m,)
-                        p = p.jet_mul(self.u_jet ** m, n)
-                _merge(out, key, p)
-
-    def wick(self, fs, gs, n):
-        """The jets of a_m = sum_{j+k+r=m} M_r(f_j, g_k) for m = 0..n, the
-        coefficients of star_series(fs, gs), to 2(n - m) + 1 coefficients.
-
-        M_r(f, g) = sum_{|k|=r} (2^r/k!) D^k f Dbar^k g is the sum that
-        wick_kernel takes, D^k the derivatives by z and Dbar^k those by
-        zbar.  f_j is converted once, to 2(n - j) + 1 coefficients, and
-        D^k f_j is memoised per multi-index k, to 2(n - j) + 1 - |k|: enough,
-        as M_r(f_j, g_k) feeds a_{j+k+r}, of length 2(n - j - k - r) + 1.
-        The key of each term is the key that star_series stores it at, and
-        its jet the jet of what it stores there, so the sums of the jets at
-        each key are the jets of the terms of a_m.  The coefficients are
-        converted f_0 .. f_n, then g_0 .. g_n, and convert raises prol's
-        ParityError or PoleError for the first odd term or pole at a.
-        """
-        lengths = _lengths(n)
-        zero = (0,) * self.dim
-        fd = [{zero: self.convert(fs[j], lengths[j])} for j in range(n + 1)]
-        gd = [{zero: self.convert(gs[j], lengths[j])} for j in range(n + 1)]
-        a = [{} for _ in range(n + 1)]
-        for j in range(n + 1):
-            for k in range(n + 1 - j):
-                if not fd[j][zero] or not gd[k][zero]:
-                    continue
-                for r in range(n + 1 - j - k):
-                    for idx, w in _wick_weights(r, self.dim):
-                        df = self.derived(fd[j], idx, Z, lengths[j])
-                        dg = self.derived(gd[k], idx, ZBAR, lengths[k])
-                        if df and dg:
-                            self.multiply(a[j + k + r], df, dg, w, lengths[j + k + r])
-        return a
-
-    def transfer(self, a, n):
-        """prol(h_m) for h = T(a), yielded for m = 0..n, from the iterable
-        a of the jets of a_0 .. a_n, to 2(n - m) + 1 coefficients each; a_m
-        is read at order m.
-
-        It runs the forward substitution h_m = a_m - sum_k M_k(pi_J
-        h_{m-k}, J) of reduction.transfer_series on the jets.  prol reads
-        only the values h_m(a) of the radial parts, and every step is a map
-        on the stored terms key by key (pij, the Euler steps of
-        constraint_kernel, the product by parts[r]), so the jets of the
-        terms of h_m carry all that the answer needs, and prol yields the
-        same terms as on h_m.
-
-        Lengths: prol(h_n) needs coefficient 0 of h_n only.  A term of h_m
-        reaches h_{m+k} through pij, which divides by t, and k Euler steps,
-        each of which differentiates; each loses the top coefficient.  So
-        h_m needs L_m >= L_{m+k} + k + 1 coefficients for every k >= 1, and
-        the largest bound, at k = 1, gives L_m = 2(n - m) + 1.
-        """
-        lengths = _lengths(n)
-        pending = [{} for _ in range(n + 1)]  # -sum_k M_k(pi_J h_{m-k}, J)
-        for m, h in enumerate(a):
-            for key, c in pending[m].items():
-                _merge(h, key, c)
-            yield self.prol(h)
-            if m == n:
-                break
-            # M_k(pi_J h_m, J) = parts[k] (E - k + 1) ... (E - 1) E pi_J h_m
-            x = self.pij(h, lengths[m])
-            for k in range(1, min(len(self.parts), n - m + 1)):
-                x = self.euler(x, k - 1, lengths[m] - 1 - k)
-                part, out = self.of(-self.parts[k], lengths[m + k]), pending[m + k]
-                for key, c in x.items():
-                    _merge(out, key, c.jet_mul(part, lengths[m + k]))
-
-
-def prol_transfer(series, constraint):
-    """prol(T(series)) for a sphere constraint, yielded order by order.
-
-    _SphereJets.transfer runs the forward substitution of
-    reduction.transfer_series on Taylor jets in t = u - a at the sphere
-    a = -2*mu, with no rational function of u inside it, and gives the
-    same terms as prol on each order of transfer_series.
-
-    Errors: the odd terms and the poles at a of h_m are those of a_m, as
-    the kernel terms are even and pole-free there.  So a_m is checked as
-    prol checks h_m: a ParityError naming its first odd key, then the
-    PoleError of RadialRational.eval.  a_0 .. a_{n-1} are checked before the
-    first yield and a_n before the last, where transfer_series and prol
-    check them; so in_istar stops at the same order.
-    """
-    n = series.order
-    jets = _SphereJets(constraint, series[0].dim)
-    lengths = _lengths(n)
-    converted = [jets.convert(series[m], lengths[m]) for m in range(n)]
-    top = (jets.convert(series[n], lengths[n]) for _ in (n,))
-    yield from jets.transfer(chain(converted, top), n)
-
-
-def prol_transfer_star(fs, gs, constraint):
-    """prol(T(fs * gs)) for a sphere constraint, yielded order by order,
-    with the Wick product taken on jets from the factors
-    (_SphereJets.wick): no product, sum or gcd of rational functions of u
-    comes between the factors and prol.  The terms are those of
-    prol_transfer on star_series(fs, gs) with the Wick kernels.
-
-    A factor coefficient up to the order of the product with an odd term
-    or a pole at a raises prol's ParityError or PoleError, before the
-    first yield, even where the product would have none.
-    """
-    fs[0]._check(gs[0])
-    n = min(fs.order, gs.order)
-    jets = _SphereJets(constraint, fs[0].dim)
-    yield from jets.transfer(jets.wick(fs, gs, n), n)
+                p = p - self.prolonged(h, n).scale(c0)
+            p = p.exact_div(t)
+            if p:
+                out[key] = jet(p.jet_mul(self.quotient, n - 1), n - 1)
+        return self.fun._of_terms(x.dim, out)
 
 
 def wick_product(f, g, order):

@@ -22,13 +22,15 @@ product of two functions on C is then
 
 for an intertwiner S that starts at the identity; the default S = id.
 S^{-1} is applied by the same forward substitution, with the terms of S
-in place of the kernels.  prol_transfer gives prol(T(series)), which a
-radial setup computes on Taylor jets at the sphere, and
-prol_transfer_star gives prol(T(fs * gs)), whose Wick product a radial
-setup takes on those jets too.
+in place of the kernels.  prol_transfer gives prol(T(series)) and
+prol_transfer_star gives prol(T(fs * gs)); a radial setup runs both, the
+Wick product included, on a second setup over Taylor jets at the sphere,
+through the same forward substitution and kernel loop.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .scalar import LambdaSeries, kernel_series
 from . import flatphase
@@ -51,17 +53,16 @@ class PhaseSetup:
     transfer series runs on; prol and pij satisfy f = prol(f) + pij(f) * j
     with prol(j) = 0, and bracket is the Poisson bracket generating kernel
     antisymmetry at order one.  one and zero are the unit and zero of j's
-    algebra.  prol_transfer(series) yields prol(T(series)) order by order
-    in a closed form of its own, or is None for prol of transfer_series;
-    prol_transfer_star(fs, gs) likewise yields prol(T(fs * gs)), or is
-    None for prol_transfer of star_series.
+    algebra.  jets(n) is None, or gives (setup, convert) for prol(T(.))
+    to order n on another algebra: that setup's prol gives the same terms
+    as this one's on the transfer, and convert(f, m) is f as the order-m
+    coefficient of a series of order n in that algebra.
     """
 
     __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "bracket",
-                 "prol_transfer", "prol_transfer_star", "one", "zero")
+                 "jets", "one", "zero")
 
-    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket,
-                 prol_transfer=None, prol_transfer_star=None):
+    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket, jets=None):
         self.label = label
         self.j = j
         self.kernel = kernel
@@ -69,8 +70,7 @@ class PhaseSetup:
         self.prol = prol
         self.pij = pij
         self.bracket = bracket
-        self.prol_transfer = prol_transfer
-        self.prol_transfer_star = prol_transfer_star
+        self.jets = jets
         self.one = type(j).one(j.dim)
         self.zero = type(j).zero(j.dim)
         if not prol(j).is_zero():
@@ -102,18 +102,28 @@ def flat_setup(n):
 
 
 def radial_setup(constraint, dim):
-    """Radial functions on C^dim with a sphere constraint."""
+    """Radial functions on C^dim with a sphere constraint.  Its jets hook
+    gives the same setup on Taylor jets at the sphere (SphereJets), where
+    the Wick kernel, the kernel against J and the transfer run unchanged."""
+    label = "radial-%s-%d" % (constraint.kind, dim)
+    parts = constraint.kernel_parts()
+
+    def jets(order):
+        sphere = radialphase.SphereJets(constraint, parts, dim, order)
+        return PhaseSetup(
+            "%s-jets-%d" % (label, order), sphere.j, radialphase.wick_kernel,
+            radialphase.constraint_kernel(sphere.parts), sphere.prol, sphere.pij,
+            radialphase.poisson), sphere.convert
+
     return PhaseSetup(
-        label="radial-%s-%d" % (constraint.kind, dim),
+        label=label,
         j=constraint.j(dim),
         kernel=radialphase.wick_kernel,
-        j_kernel=radialphase.constraint_kernel(constraint),
+        j_kernel=radialphase.constraint_kernel(parts),
         prol=lambda f: radialphase.prol(f, constraint),
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
-        prol_transfer=lambda series: radialphase.prol_transfer(series, constraint),
-        prol_transfer_star=lambda fs, gs: radialphase.prol_transfer_star(
-            fs, gs, constraint),
+        jets=jets,
     )
 
 
@@ -194,18 +204,30 @@ def transfer_series(setup, series):
 
 
 def _prolonged_orders(setup, series):
-    # prol(h_m) for h = T(series), lazily in m; T itself runs at once
-    if setup.prol_transfer is not None:
-        return setup.prol_transfer(series)
-    return map(setup.prol, transfer_series(setup, series).coeffs)
+    """prol(h_m) for h = T(series), lazily in m.  Without jets T runs at
+    once.  convert checks a_m as prol checks h_m, which has the odd terms
+    and poles of a_m: so a_0 .. a_{n-1} convert before the first yield and
+    a_n before the last, where prol of transfer_series raises for them."""
+    if setup.jets is None:
+        return map(setup.prol, transfer_series(setup, series).coeffs)
+    n = series.order
+    jets, convert = setup.jets(n)
+    head = [convert(series[m], m) for m in range(n)]
+    return _prolonged_run(jets, chain(head, (convert(series[n], n) for _ in (n,))))
+
+
+def _prolonged_run(setup, coeffs):
+    # prol(h_m) for h = T(coeffs), one push of the forward substitution per m
+    run = _TransferRun(setup)
+    return (setup.prol(run.push(a)) for a in coeffs)
 
 
 def prol_transfer(setup, series):
     """prol(T(series)), the reduced image of a series, order by order.
 
-    Radial setups compute it on Taylor jets at the sphere
-    (radialphase.prol_transfer) and flat ones as prol of transfer_series;
-    both raise the errors of that composition, in its order.
+    Radial setups compute it on Taylor jets at the sphere (PhaseSetup.jets)
+    and flat ones as prol of transfer_series; both raise the errors of that
+    composition, in its order.
     """
     return LambdaSeries(tuple(_prolonged_orders(setup, series)))
 
@@ -234,14 +256,16 @@ def transfer_ops(setup, order):
 
 
 def star_series(setup, fs, gs):
-    """Bilinear extension of the product kernels to truncated series."""
+    """Bilinear extension of the product kernels to truncated series; a
+    pair of coefficients one of which has no terms takes no kernel call."""
     n = min(fs.order, gs.order)
     out = []
     for m in range(n + 1):
         acc = setup.zero
         for r in range(m + 1):
             for j in range(m - r + 1):
-                acc = acc + setup.kernel(fs[j], gs[m - r - j], r)
+                if fs[j].terms and gs[m - r - j].terms:
+                    acc = acc + setup.kernel(fs[j], gs[m - r - j], r)
         out.append(acc)
     return LambdaSeries(tuple(out))
 
@@ -250,13 +274,22 @@ def prol_transfer_star(setup, fs, gs):
     """prol(T(fs * gs)), the reduced image of the star product of two
     series, order by order.
 
-    Radial setups take the Wick product on Taylor jets at the sphere from
-    the factors (radialphase.prol_transfer_star); flat ones take
-    prol_transfer of star_series.
+    Radial setups take it on Taylor jets at the sphere (PhaseSetup.jets),
+    from the factors: so a factor coefficient up to the order of the
+    product with an odd term or a pole at the sphere raises prol's
+    ParityError or PoleError, before the first yield, even where the
+    product would have none.  Flat ones take prol_transfer of star_series.
     """
-    if setup.prol_transfer_star is not None:
-        return LambdaSeries(tuple(setup.prol_transfer_star(fs, gs)))
-    return prol_transfer(setup, star_series(setup, fs, gs))
+    if setup.jets is None:
+        return prol_transfer(setup, star_series(setup, fs, gs))
+    fs[0]._check(gs[0])
+    n = min(fs.order, gs.order)
+    jets, convert = setup.jets(n)
+    # f_0 .. f_n convert first, then g_0 .. g_n; the jets and their memoised
+    # derivatives live only until the product is taken
+    a = star_series(jets, *(LambdaSeries(tuple(convert(x[m], m) for m in range(n + 1)))
+                            for x in (fs, gs)))
+    return LambdaSeries(tuple(_prolonged_run(jets, a.coeffs)))
 
 
 def star_elements(setup, f, g, order):

@@ -10,7 +10,7 @@ the arithmetic in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
 from math import gcd as _int_gcd
 from operator import add, mul, neg, sub
@@ -87,6 +87,10 @@ class TermRing:
         self._dcache = {}
         return self
 
+    # trusted constructor from a dict of merged nonzero terms at raw key
+    # products, which a subclass whose keys need normalising overrides
+    _of_raw_terms = _of_terms
+
     def _coerce(self, other):
         # a bare scalar stands for the constant function
         if type(other) is not type(self) and isinstance(
@@ -140,7 +144,16 @@ class TermRing:
             return self
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _merge(out, key, -c)
+            # s - c where self has the key, so no -c is built there
+            s = out.get(key)
+            if s is None:
+                out[key] = -c
+            else:
+                c = s - c
+                if c.is_zero():
+                    del out[key]
+                else:
+                    out[key] = c
         return self._of_terms(self.dim, out)
 
     def __rsub__(self, other):
@@ -155,12 +168,20 @@ class TermRing:
                 terms = {k: v * other for k, v in self.terms.items()}
                 return type(self)(self.dim, terms)
         self._check(other)
-        key_product = self._key_product
         out = {}
+        self._product_into(out, other, 1)
+        return self._of_raw_terms(self.dim, out)
+
+    def _product_into(self, out, other, w):
+        # add w * self * other to the dict out at the raw key products, which
+        # the subclass's __init__ normalises; w scales each term of self once
+        key_product, scaled = self._key_product, w != 1
+        terms = other.terms.items()
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            if scaled:
+                c1 = c1.scale(w)
+            for k2, c2 in terms:
                 _merge(out, key_product(k1, k2), c1 * c2)
-        return type(self)(self.dim, out)
 
     # a reflected operand is a scalar, and both coefficient rings commute
     __radd__, __rmul__ = __add__, __mul__
@@ -206,16 +227,20 @@ def pairing_kernel(f, g, r, pairs, caps, weight):
     f._check(g)
     if r < 0:
         raise ValueError("kernel order must be nonnegative")
-    acc = f.zero(f.dim)
     if r > sum(caps) or not f.terms or not g.terms:
-        return acc
+        return f.zero(f.dim)
     # room[p]: the largest order the pairs after p can take between them
     room = [sum(caps[p + 1:]) for p in range(len(pairs))]
-    wr = weight ** r
+    out = {}
     for sign, den, df, dg in _pairing_terms(pairs, caps, room, 0, r, f, g):
-        c = wr * Fraction(sign, den)
-        acc = acc + (df * dg if c == 1 else (df * dg).scale(c))
-    return acc
+        df._product_into(out, dg, _weight(weight, r, sign, den))
+    return f._of_raw_terms(f.dim, out)
+
+
+@cache
+def _weight(weight, r, sign, den):
+    # weight^r * sign / den, the factor of one term of pairing_kernel
+    return GaussianRational.of(weight) ** r * Fraction(sign, den)
 
 
 def _pairing_terms(pairs, caps, room, p, left, df, dg):
@@ -676,25 +701,28 @@ class UPoly:
         im = self._im
         return _make(self._re[-1], im[-1] if im is not None else 0, self._den)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self + sign * other, for sign 1 or -1
         if type(other) is not UPoly:
             other = UPoly.of(other)
         a, b = self._re, other._re
         if not b:
             return self
         if not a:
-            return other
+            return other if sign == 1 else -other
         ai, bi = self._im, other._im
         d, f = self._den, other._den
         if d == f:
             g = d
+            if sign != 1:
+                b, bi = _times(b, bi, sign, 0)
         else:
             # bring both to lcm(d, f) = d*s = f*t; a prime shared by the
             # numerators and the lcm then divides g = gcd(d, f)
             g = _int_gcd(d, f)
             s, t = f // g, d // g
             a, ai = _times(a, ai, s, 0)
-            b, bi = _times(b, bi, t, 0)
+            b, bi = _times(b, bi, sign * t, 0)
             d *= s
         if len(a) < len(b):
             a, b, ai, bi = b, a, bi, ai
@@ -717,7 +745,7 @@ class UPoly:
                         None if im is None else list(map(neg, im)), self._den, 1)
 
     def __sub__(self, other):
-        return self + (-UPoly.of(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return UPoly.of(other) - self
@@ -1095,6 +1123,9 @@ class RadialRational:
             return RadialRational(UPoly())
         return RadialRational._raw(self.num.scale(c), self.den)
 
+    # c times self as a term of a derivative: a jet there loses a coefficient
+    derivative_scale = scale
+
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
@@ -1150,6 +1181,82 @@ def _radical_split(d):
     dd = d.derivative()
     g = d.gcd(dd)
     return d.exact_div(g), dd.exact_div(g)
+
+
+class Jet:
+    """Truncated Taylor series in t = u - a: the UPoly p holds the first n
+    coefficients, the ones the jet knows.  A subclass fixes a and the top
+    length, which scalars and powers of u = a + t take whole.  With the
+    deficit top - n, a sum keeps the larger deficit, a derivative adds
+    one, a scale keeps it and a product adds those of its factors (README,
+    "Jets at the sphere").  Equality reads the coefficients both know.
+    """
+
+    __slots__ = ("p", "n")
+    a = top = None
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n
+
+    @classmethod
+    def of(cls, x):
+        # a scalar, exact
+        return x if isinstance(x, Jet) else cls(UPoly.of(x), cls.top)
+
+    @classmethod
+    def u_power(cls, k):
+        # u**k = (a + t)**k for k >= 0, exact
+        return cls((UPoly((cls.a, 1)) ** k).truncated(cls.top), cls.top)
+
+    def value(self):
+        # coefficient 0, the value at u = a
+        p = self.p
+        if not p._re:
+            return ZERO
+        return _make(p._re[0], p._im[0] if p._im is not None else 0, p._den)
+
+    def is_zero(self):
+        return not self.p._re
+
+    def __bool__(self):
+        return bool(self.p._re)
+
+    def __add__(self, other, op=add):
+        n = self.n
+        if other.n == n:
+            return type(self)(op(self.p, other.p), n)
+        n = min(n, other.n)
+        return type(self)(op(self.p.truncated(n), other.p.truncated(n)), n)
+
+    def __sub__(self, other):
+        return self.__add__(other, sub)
+
+    def __neg__(self):
+        return type(self)(-self.p, self.n)
+
+    def __mul__(self, other):
+        n = self.n + other.n - self.top
+        if n <= 0:
+            return type(self)(_reduced([], None, 1, 1), 0)
+        return type(self)(self.p.jet_mul(other.p, n), n)
+
+    def scale(self, c):
+        return type(self)(self.p.scale(c), self.n)
+
+    def derivative_scale(self, c):
+        # c times self as a term of a derivative, which loses one coefficient
+        n = self.n - 1
+        return type(self)(self.p.truncated(n).scale(c), n)
+
+    def derivative(self):
+        return type(self)(self.p.derivative(), self.n - 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        n = min(self.n, other.n)
+        return self.p.truncated(n) == other.p.truncated(n)
 
 
 def zero_like(x):

@@ -306,34 +306,38 @@ def test_obstruction_matches_four_reduced_products(fg, mu):
 
 
 def test_obstruction_call_counts(monkeypatch):
-    # one Wick commutator, M_0..M_2 on each side, and one order-2
-    # prol_transfer per constraint, on jets: no call of the setup's j_kernel
-    # or pij after the checks of its constructor
+    # one Wick commutator, M_0..M_2 on each side, and one order-2 transfer
+    # per constraint on its jet setup (PhaseSetup.jets): the closed counts
+    # of an order-2 forward substitution there, 2 pij and 3 j_kernel calls,
+    # and no call of the radial setup's j_kernel or pij after the checks
+    # of its constructor
     calls = Counter()
     wick, setup_of = radialphase.wick_kernel, cpn.radial_setup
 
     def counted_wick(f, g, r):
-        calls["wick_kernel"] += 1
+        calls["wick_kernel", type(f).__name__] += 1
         return wick(f, g, r)
 
     def counted_setup(constraint, dim):
         setup = setup_of(constraint, dim)
-        j_kernel, pij, prol_transfer = setup.j_kernel, setup.pij, setup.prol_transfer
+        kind = constraint.kind
 
-        def counted_j_kernel(f, r):
-            calls[constraint.kind, "j_kernel"] += 1
-            return j_kernel(f, r)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[kind, name] += 1
+                return fn(*args)
+            return wrapper
 
-        def counted_pij(f):
-            calls[constraint.kind, "pij"] += 1
-            return pij(f)
+        def counted_jets(order, jets=setup.jets):
+            calls[kind, "jets", order] += 1
+            jet_setup, convert = jets(order)
+            jet_setup.j_kernel = counted("jet j_kernel", jet_setup.j_kernel)
+            jet_setup.pij = counted("jet pij", jet_setup.pij)
+            return jet_setup, convert
 
-        def counted_prol_transfer(series):
-            calls[constraint.kind, "prol_transfer", series.order] += 1
-            return prol_transfer(series)
-
-        setup.j_kernel, setup.pij = counted_j_kernel, counted_pij
-        setup.prol_transfer = counted_prol_transfer
+        setup.j_kernel = counted("j_kernel", setup.j_kernel)
+        setup.pij = counted("pij", setup.pij)
+        setup.jets = counted_jets
         return setup
 
     monkeypatch.setattr(radialphase, "wick_kernel", counted_wick)
@@ -341,8 +345,10 @@ def test_obstruction_call_counts(monkeypatch):
     _, _, ratio = obstruction_order2(HOMOG[2], HOMOG[3], -HALF)
     assert ratio == GaussianRational(-2)
     assert calls == Counter({
-        "wick_kernel": 6,
-        ("linear", "prol_transfer", 2): 1, ("quadratic", "prol_transfer", 2): 1,
+        ("wick_kernel", "RadialFun"): 6,
+        ("linear", "jets", 2): 1, ("quadratic", "jets", 2): 1,
+        ("linear", "jet pij"): 2, ("quadratic", "jet pij"): 2,
+        ("linear", "jet j_kernel"): 3, ("quadratic", "jet j_kernel"): 3,
     })
 
 

@@ -48,6 +48,7 @@ def test_ring_ops():
     f = q(1) + p(1)
     assert f * f == q(1) ** 2 + (q(1) * p(1)).scale(2) + p(1) ** 2
     assert (q(1) - q(1)).is_zero()
+    assert (f + (-f)).is_zero()
     assert FlatPoly.one(2) * f == f
     assert f.scale(0).is_zero()
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from costar import radialphase
-from costar.radialphase import ParityError, RadialConstraint, RadialFun
+from costar.radialphase import ParityError, RadialConstraint, RadialFun, SphereJets
 from costar.reduction import (
     PhaseSetup,
     in_istar,
@@ -205,33 +205,125 @@ def test_odd_factors_raise_where_their_product_is_even():
         lambda: setup.prol(fs[0]))
 
 
+def counted_jets(setup, calls):
+    # setup with its jets hook counted into calls: one count per jet setup
+    # built, and one per call of that setup's kernel, j_kernel and pij
+    jets = setup.jets
+
+    def counted(order):
+        jet_setup, convert = jets(order)
+        kernel, j_kernel, pij = jet_setup.kernel, jet_setup.j_kernel, jet_setup.pij
+
+        def counted_kernel(f, g, r):
+            calls["kernel"] += 1
+            return kernel(f, g, r)
+
+        def counted_j_kernel(f, r):
+            calls["j_kernel"] += 1
+            return j_kernel(f, r)
+
+        def counted_pij(f):
+            calls["pij"] += 1
+            return pij(f)
+
+        calls["jets", order] += 1
+        jet_setup.kernel, jet_setup.j_kernel = counted_kernel, counted_j_kernel
+        jet_setup.pij = counted_pij
+        return jet_setup, convert
+
+    setup.jets = counted
+    return setup
+
+
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
 def test_radial_reduce_star_makes_no_j_kernel_call(kind, monkeypatch):
-    # nor any call of wick_kernel: the Wick product is taken on the jets
+    # no kernel, j_kernel or pij call with a RadialFun operand: after the
+    # admissibility checks, the Wick product and the transfer run on the
+    # jet setup, whose operands are JetFuns
     constraint = RadialConstraint(kind, Fraction(-3, 2))
     setup = radial_setup(constraint, 3)
     calls = Counter()
-    j_kernel, pij, kernel = setup.j_kernel, setup.pij, radialphase.wick_kernel
 
-    def counted_j_kernel(f, r):
-        calls["j_kernel"] += 1
-        return j_kernel(f, r)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, type(args[0]).__name__] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_pij(f):
-        calls["pij"] += 1
-        return pij(f)
-
-    def counted_kernel(f, g, r):
-        calls["wick_kernel"] += 1
-        return kernel(f, g, r)
-
-    setup.j_kernel, setup.pij, setup.kernel = counted_j_kernel, counted_pij, counted_kernel
-    monkeypatch.setattr(radialphase, "wick_kernel", counted_kernel)
     f = RadialFun.monomial((1, 0, 0), (0, 1, 0), radial=RadialRational.u_power(-1))
     g = RadialFun.monomial((0, 1, 0), (0, 0, 1), radial=RadialRational.u_power(-1))
+    monkeypatch.setattr(radialphase, "wick_kernel",
+                        counted("wick_kernel", radialphase.wick_kernel))
+    setup.kernel, setup.j_kernel, setup.pij = (
+        counted(name, fn) for name, fn in (("kernel", setup.kernel),
+                                           ("j_kernel", setup.j_kernel),
+                                           ("pij", setup.pij)))
     got = reduce_star(setup, f, g, 4)
-    assert not calls
+    assert {name for name, algebra in calls if algebra != "JetFun"} == set()
+    assert calls["wick_kernel", "JetFun"] == 5
     assert got == reduce_star(generic(radial_setup(constraint, 3)), f, g, 4)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_reduce_makes_the_closed_counts_on_the_jet_setup(kind, dim):
+    # a reduce at order n builds one jet setup and runs the forward
+    # substitution on it: n pij and n(n+1)/2 j_kernel calls, and one Wick
+    # kernel per order, as the factors' higher coefficients have no terms;
+    # prol_transfer makes the same transfer with no Wick kernel
+    setup = radial_setup(RadialConstraint(kind, Fraction(-1, 2)), dim)
+    f = RadialFun.monomial((1,) + (0,) * (dim - 1), (0,) * (dim - 1) + (1,),
+                           radial=RadialRational.u_power(-1))
+    g = f.scale(2) + setup.one
+    calls = Counter()
+    counted = counted_jets(radial_setup(RadialConstraint(kind, Fraction(-1, 2)), dim),
+                           calls)
+    for n in range(5):
+        calls.clear()
+        reduce_star(counted, f, g, n)
+        assert calls == Counter({("jets", n): 1, "kernel": n + 1, "pij": n,
+                                 "j_kernel": n * (n + 1) // 2})
+        calls.clear()
+        prol_transfer(counted, setup.as_series(f * setup.j, n))
+        assert calls == Counter({("jets", n): 1, "pij": n,
+                                 "j_kernel": n * (n + 1) // 2})
+
+
+@st.composite
+def jet_operands(draw):
+    # a ring of jets at the sphere a = -2 mu, two radial parts with no pole
+    # at a, and two lengths up to the ring's top 2 order + 1
+    constraint = RadialConstraint(draw(st.sampled_from(["linear", "quadratic"])),
+                                  draw(st.sampled_from(MUS)))
+    order = draw(st.integers(0, 4))
+    jets = SphereJets(constraint, constraint.kernel_parts(), 1, order)
+    top = 2 * order + 1
+    return (jets, draw(radial_parts()), draw(radial_parts()),
+            draw(st.integers(1, top)), draw(st.integers(1, top)))
+
+
+def stored(x):
+    return x.p, x.n
+
+
+@settings(max_examples=200)
+@given(jet_operands())
+def test_jets_are_a_ring_map_mod_t_n(case):
+    # the jet of a sum, a product, a derivative and a power of u is that
+    # operation on the jets, to the length the deficit rule gives: the
+    # smaller length, n1 + n2 - top, and n - 1
+    jets, r, s, n1, n2 = case
+    top = 2 * jets.order + 1
+    x, y = jets.jet(r, n1), jets.jet(s, n2)
+    assert stored(x + y) == stored(jets.jet(r + s, min(n1, n2)))
+    assert stored(x - y) == stored(jets.jet(r - s, min(n1, n2)))
+    n = n1 + n2 - top
+    assert stored(x * y) == (stored(jets.jet(r * s, n)) if n > 0 else (UPoly(), 0))
+    if n1 > 1:
+        assert stored(x.derivative()) == stored(jets.jet(r.derivative(), n1 - 1))
+        assert stored(x.derivative_scale(3)) == stored(jets.jet(r.scale(3), n1 - 1))
+    assert stored(type(x).u_power(n2)) == stored(jets.jet(RadialRational.u_power(n2), top))
+    assert x.value() == r.eval(jets.a)
 
 
 def prolonged(dim):
