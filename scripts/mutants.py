@@ -115,8 +115,8 @@ MUTANTS = [
      "for key, r in self.terms.items():\n            e = key[0][idx]",
      [T_MIRROR]),
     ("euler reads key[0] for key[side]", RADIAL,
-     "nr = r.scale(sum(key[side])) + u * r.derivative()",
-     "nr = r.scale(sum(key[0])) + u * r.derivative()",
+     "e = sum(key[side]) - s\n",
+     "e = sum(key[0]) - s\n",
      [T_MIRROR]),
     ("R' raises its own side", RADIAL,
      "nk[1 - side] = _bump(key[1 - side], idx, 1)\n                _merge(",
@@ -128,8 +128,8 @@ MUTANTS = [
      [T_DERIV]),
     # the kernel against the constraint in closed form
     ("falling factorial drops its shift", RADIAL,
-     "e = sum(key[Z]) - s\n",
-     "e = sum(key[Z])\n",
+     "e = sum(key[side]) - s\n",
+     "e = sum(key[side])\n",
      [T_J_RADIAL, T_LETTERS]),
     ("J^(r) taken one derivative short", RADIAL,
      "        j = j.derivative()\n",
@@ -267,8 +267,8 @@ MUTANTS = [
      "p = p - self.prolonged(0, n).scale(c0)",
      [T_JETS]),
     ("Euler step shift off by one", RADIAL,
-     "e = sum(key[Z]) - s\n",
-     "e = sum(key[Z]) - s - 1\n",
+     "e = sum(key[side]) - s\n",
+     "e = sum(key[side]) - s - 1\n",
      [T_J_RADIAL]),
     # the Wick product on jets from the factors, through pairing_kernel
     ("kernel weight 2^r/r! for 2^r/k!", SCALAR,

@@ -19,14 +19,16 @@ yields the first n cells of row k with 2n - 3 letter applications, where
 summing the Fibonacci-many words cell by cell costs exponentially many.
 Three descriptions stay only as oracles: a_coeff_closed for a_coeff_sum
 (test_sum_matches_closed_formula, criterion 2, verify --suite tables),
-a_coeff_operator for a_coeff_engine (criterion 3, --suite tables), and
-pr_word_sum for the rows of _quadratic_row (--suite tables) and for T
+a_coeff_operator, the powers of the letter P = K, for a_coeff_engine
+(criterion 3, --suite tables), and pr_word_sum for the rows of
+_quadratic_row (--suite tables) and for T
 (test_word_sums_match_transfer_recursion, criterion 6, --suite prwords).
 At order two the antisymmetrized parts of the two reduced products differ
 by a multiple of u {f,g}, which makes them inequivalent deformations.
 obstruction_order2 computes the exact multiple; since T and prol are
 linear, it needs only the commutator f*g - g*f of the Wick products,
-transferred once per constraint.
+transferred once per constraint.  Admissibility does not depend on J, only
+on the sphere, so its factors are checked once.
 """
 
 from __future__ import annotations
@@ -52,19 +54,6 @@ from .reduction import (
     require_admissible,
 )
 from .scalar import I, LambdaSeries, RadialRational
-
-
-def transfer_kernel(setup):
-    """First-order transfer kernel K(f) = -M_1(pi_J(f), J).
-
-    For constraints whose higher kernels against J vanish, the transfer
-    operators are plain powers: T_n = K^n.
-    """
-
-    def k(f):
-        return -setup.j_kernel(setup.pij(f), 1)
-
-    return k
 
 
 def a_coeff_sum(k, l):
@@ -118,10 +107,12 @@ def _real(c):
 
 
 def a_coeff_operator(k, l, mu=Fraction(-1, 2), dim=1):
-    """Linear table through the operator definition a^{k+l} res(K^l u^{-k})."""
+    """Linear table through the operator definition a^{k+l} res(K^l u^{-k}).
+
+    K = -M_1(pi_J f, J) is the letter P of pr_letters; the higher kernels
+    against the linear J vanish, so the transfer operators are T_l = K^l."""
     constraint = RadialConstraint.linear(mu)
-    setup = radial_setup(constraint, dim)
-    kernel = transfer_kernel(setup)
+    kernel = pr_letters(radial_setup(constraint, dim))[0]
     f = RadialFun.u(dim, -k)
     for _ in range(l):
         f = kernel(f)
@@ -266,14 +257,15 @@ def obstruction_order2(f, g, mu):
     (f x g - g x f)_2 = prol(T(f * g - g * f))_2: the Wick commutator is
     built once and transferred once per constraint, and
     lhs = prol(T(f*g - g*f))_2 - prol(T~(f*g - g*f))_2.  Both factors must
-    be admissible for both constraints, checked in the order reduce_star
-    would check them (left then right, quadratic first).
+    be admissible, checked in the order reduce_star would check them (left
+    then right).  Classical admissibility reads only the sphere: on it
+    {J(u), f} = J'(u) {u, f} with J'(-2 mu) != 0 (RadialConstraint), so
+    the check against the quadratic constraint serves the linear one too.
     """
     lin = radial_setup(RadialConstraint.linear(mu), f.dim)
     quad = radial_setup(RadialConstraint.quadratic(mu), f.dim)
     a = -2 * Fraction(mu)
     require_admissible(quad, f, g)
-    require_admissible(lin, f, g)
     comm = wick_product(f, g, 2) - wick_product(g, f, 2)
 
     def second(setup):

@@ -8,9 +8,8 @@ both cutting out the sphere u = -2*mu (mu < 0):
     linear     J = -u/2 - mu
     quadratic  J = u^2/4 - mu^2
 
-together with restriction to the sphere, prolongation (pullback along the
-radial retraction z -> sqrt(-2 mu / u) z), and the exact difference
-quotient against J.
+together with prolongation (pullback along the radial retraction
+z -> sqrt(-2 mu / u) z), and the exact difference quotient against J.
 
 The stored term representation is not unique for dim >= 2 (u may appear
 either as a radial factor or expanded into monomials).  Equality therefore
@@ -61,7 +60,7 @@ class RadialFun(TermRing):
     terms maps (alpha, beta) pairs of exponent tuples to nonzero
     RadialRational parts.  Odd-degree terms are legal in the algebra (they
     occur transiently inside derivatives) but are rejected by the
-    sphere-aware operations prol/pij/restrict.
+    sphere-aware operations prol/pij.
     """
 
     __slots__ = ()
@@ -168,20 +167,11 @@ class RadialFun(TermRing):
 
     def euler_e(self):
         """E = sum_i z^i d/dz^i; on a term: |alpha| R + u R'."""
-        return self._euler(Z)
+        return euler_step(self, Z, 0)
 
     def euler_ebar(self):
         """Ebar = sum_i zbar^i d/dzbar^i; on a term: |beta| R + u R'."""
-        return self._euler(ZBAR)
-
-    def _euler(self, side):
-        u = RadialRational.u_power(1)
-        out = {}
-        for key, r in self.terms.items():
-            nr = r.scale(sum(key[side])) + u * r.derivative()
-            if not nr.is_zero():
-                out[key] = nr
-        return RadialFun._of_terms(self.dim, out)
+        return euler_step(self, ZBAR, 0)
 
     def common_denominator(self):
         den = UPoly.of(1)
@@ -372,19 +362,6 @@ def _require_even(f, op):
             )
 
 
-def restrict(f, constraint):
-    """Restriction to the sphere: evaluate every radial part at u = -2*mu.
-
-    The monomials are kept, so == between restrictions depends on how the
-    inputs spell u; compare on the sphere through prol (vanishes_on_c)."""
-    _require_even(f, "restriction")
-    a = constraint.sphere_u
-    out = []
-    for key, r in f.terms.items():
-        out.append((key, RadialRational.of(r.eval(a))))
-    return RadialFun(f.dim, out)
-
-
 def prol(f, constraint):
     """Prolongation: pull the restriction of f back along z -> sqrt(a/u) z.
 
@@ -454,13 +431,11 @@ def constraint_kernel(parts):
         M_r(f, J) = (2^r/r!) J^(r)(u) sum_{|s|=r} (r!/s!) z^s d_z^s f
                   = (2^r/r!) J^(r)(u) E(E-1)...(E-r+1) f,
 
-    the falling factorial of the Euler operator E.  It is zero for
-    r > deg J, where no derivative of f is taken.  z^i and d/dz^i obey the
-    same relations on the stored terms, with u a letter of its own, as
-    they do on functions.  So where E spells u R' as the product rule
-    does, R' at the key raised by z^i zbar^i for each i, the stored terms
-    equal those of wick_kernel(f, J, r).  euler_e spells it as u R' at the
-    key instead, which restrict keeps apart from the sum.
+    the falling factorial of the Euler operator E, one euler_step per s.
+    It is zero for r > deg J, where no derivative of f is taken.  z^i and
+    d/dz^i obey the same relations on the stored terms, with u a letter of
+    its own, as they do on functions, so the stored terms equal those of
+    wick_kernel(f, J, r).
     """
 
     def kernel(f, r):
@@ -469,21 +444,31 @@ def constraint_kernel(parts):
         if r >= len(parts):
             return type(f).zero(f.dim)
         for s in range(r):
-            # E - s: (|alpha| - s) R at the key, and R' at each raised key
-            out = {}
-            for key, c in f.terms.items():
-                e = sum(key[Z]) - s
-                if e:
-                    _merge(out, key, c.derivative_scale(e))
-                dc = c.derivative()
-                if dc:
-                    alpha, beta = key
-                    for i in range(f.dim):
-                        _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
-            f = f._of_raw_terms(f.dim, out)
+            f = euler_step(f, Z, s)
         return f * parts[r]
 
     return kernel
+
+
+def euler_step(f, side, s):
+    """(E - s) f for E = sum_i z^i d/dz^i (side Z) or Ebar (side ZBAR).
+
+    On a term z^alpha zbar^beta R(u), E - s gives (|alpha| - s) R at the
+    key, and u R' spelled as the product rule spells it: R' at the key
+    raised by z^i zbar^i, for each i.  The side only picks |alpha| or
+    |beta|, since u is symmetric in z and zbar.
+    """
+    out = {}
+    for key, c in f.terms.items():
+        e = sum(key[side]) - s
+        if e:
+            _merge(out, key, c.derivative_scale(e))
+        dc = c.derivative()
+        if dc:
+            alpha, beta = key
+            for i in range(f.dim):
+                _merge(out, (_bump(alpha, i, 1), _bump(beta, i, 1)), dc)
+    return f._of_raw_terms(f.dim, out)
 
 
 class JetFun(RadialFun):

@@ -1259,19 +1259,15 @@ class Jet:
         return self.p.truncated(n) == other.p.truncated(n)
 
 
-def zero_like(x):
-    """Additive zero of the algebra x lives in."""
-    return x - x
-
-
 class LambdaSeries:
     """Truncated formal power series in the deformation parameter.
 
     coeffs[k] is the order-k coefficient; the truncation order is
     len(coeffs) - 1.  Binary operations truncate to the smaller order, since
     nothing is known about either operand beyond its own truncation.
-    Coefficients may live in any algebra with +, -, *; mixing algebras is an
-    error.
+    Coefficients may live in any algebra with + and -; mixing algebras is
+    an error.  There is no product of series here: the star product of a
+    phase setup is reduction.star_series.
     """
 
     __slots__ = ("coeffs",)
@@ -1281,13 +1277,6 @@ class LambdaSeries:
         if not coeffs:
             raise ValueError("a series needs at least the order-0 coefficient")
         self.coeffs = coeffs
-
-    @staticmethod
-    def constant(x, order):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        z = zero_like(x)
-        return LambdaSeries((x,) + (z,) * order)
 
     @property
     def order(self):
@@ -1328,17 +1317,6 @@ class LambdaSeries:
 
     def __neg__(self):
         return LambdaSeries(tuple(map(neg, self.coeffs)))
-
-    def __mul__(self, other):
-        self._check(other)
-        n = min(self.order, other.order)
-        out = []
-        for m in range(n + 1):
-            acc = zero_like(self.coeffs[0])
-            for k in range(m + 1):
-                acc = acc + self[k] * other[m - k]
-            out.append(acc)
-        return LambdaSeries(tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, LambdaSeries):

@@ -16,7 +16,6 @@ from costar.cpn import (
     pr_letters,
     pr_word_sum,
     table_reduced_product,
-    transfer_kernel,
 )
 from costar.radialphase import (
     ParityError,
@@ -28,11 +27,12 @@ from costar.radialphase import (
 )
 from costar.reduction import (
     MembershipError,
+    is_in_b_cap_f,
     radial_setup,
     reduce_star,
     transfer_ops,
 )
-from costar.scalar import I, GaussianRational, RadialRational, UPoly
+from costar.scalar import I, GaussianRational, PoleError, RadialRational, UPoly
 
 HALF = Fraction(1, 2)
 
@@ -199,7 +199,7 @@ def test_coefficient_table_layout():
 @given(balanced_funs())
 def test_linear_transfer_is_kernel_power(f):
     setup = radial_setup(RadialConstraint.linear(-HALF), 2)
-    k = transfer_kernel(setup)
+    k = pr_letters(setup)[0]
     t = transfer_ops(setup, 3)
     kf = f
     for n in range(1, 4):
@@ -365,3 +365,42 @@ def test_obstruction_rejects_what_reduce_star_rejects():
         with pytest.raises(err) as got:
             obstruction_order2(f, g, -HALF)
         assert str(got.value) == str(want.value)
+
+
+SPHERE_MU = Fraction(-3, 2)  # the sphere u = 3
+
+
+def sphere_factors(dim):
+    # terms z^alpha zbar^beta c u^(s - d/2) (u + 1)^e / (u - 3)^p of degree
+    # d: balanced, odd and unbalanced keys, radial parts that are prolonged
+    # (s = e = p = 0) or not, and poles at the sphere
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    keys = st.one_of(exps.map(lambda a: (a, a[::-1])), st.tuples(exps, exps))
+
+    def term(key, c, s, e, p):
+        d = sum(key[0]) + sum(key[1])
+        r = RadialRational(UPoly((1, 1)) ** e, UPoly((-3, 1)) ** p)
+        return key, (RadialRational.u_power(s - d // 2) * r).scale(c)
+
+    rare = st.sampled_from([0, 0, 0, 1])
+    terms = st.lists(st.builds(term, keys, st.integers(-2, 2).filter(bool),
+                               rare, rare, rare), min_size=1, max_size=3)
+    return terms.map(lambda ts: RadialFun(dim, ts))
+
+
+def admissibility(setup, f):
+    # the value of is_in_b_cap_f, or the type and message of what it raises
+    try:
+        return is_in_b_cap_f(setup, f)
+    except (ParityError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 2, 3]).flatmap(sphere_factors))
+def test_admissibility_does_not_depend_on_the_constraint(f):
+    # {J(u), f} = J'(u) {u, f} and J'(-2 mu) != 0, so obstruction_order2
+    # checks its factors against the quadratic constraint alone
+    lin, quad = (radial_setup(RadialConstraint(kind, SPHERE_MU), f.dim)
+                 for kind in ("linear", "quadratic"))
+    assert admissibility(lin, f) == admissibility(quad, f)

@@ -168,7 +168,7 @@ def test_moyal_associative_low_order(f, g, h):
 def _as_series(f, order):
     from costar.scalar import LambdaSeries
 
-    return LambdaSeries.constant(f, order)
+    return LambdaSeries((f,) + (FlatPoly.zero(f.dim),) * order)
 
 
 def _star_series(a, b):
