@@ -43,6 +43,7 @@ T_MOYAL = "tests/test_flatphase.py::test_moyal_kernel_matches_uncapped_sum"
 T_WICK = "tests/test_radialphase.py::test_wick_kernel_matches_uncapped_sum"
 T_MIRROR = "tests/test_radialphase.py::test_zbar_operations_mirror_z"
 T_DERIV = "tests/test_radialphase.py::test_derivatives"
+T_PROL = "tests/test_radialphase.py::test_prol_examples"
 T_RING = "tests/test_flatphase.py::test_ring_ops"
 T_STAR_CALLS = "tests/test_reduction.py::test_star_elements_call_counts"
 T_NEUMANN = "tests/test_reduction.py::test_operator_series_inversion_neumann"
@@ -234,9 +235,18 @@ MUTANTS = [
      "if True:",
      [T_ROW]),
     ("table cell read off by one", CPN,
-     "return _quadratic_row(k, l + 1, mu)[l]",
-     "return _quadratic_row(k, l + 2, mu)[l + 1]",
+     "return _quadratic_row(k, l + 1)[l]",
+     "return _quadratic_row(k, l + 2)[l + 1]",
      [T_CELLS]),
+    ("quadratic rows off the unit sphere", CPN,
+     "constraint = RadialConstraint.quadratic(Fraction(-1, 2))",
+     "constraint = RadialConstraint.quadratic(Fraction(-1))",
+     [T_QUAD]),
+    # prolongation, shared by the radial setups and their jets
+    ("prolongation power off by one", RADIAL,
+     "return RadialRational.u_power(-h).scale(",
+     "return RadialRational.u_power(1 - h).scale(",
+     [T_PROL]),
     # the order-2 obstruction from one Wick commutator
     ("obstruct commutator adds for subtracts", CPN,
      "comm = wick_product(f, g, 2) - wick_product(g, f, 2)",

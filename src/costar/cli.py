@@ -478,7 +478,8 @@ def cmd_coeffs(ns):
         raise ValueError("kmax and lmax must be at least 1")
     if ns.kmax > MAX_TABLE or ns.lmax > MAX_TABLE:
         raise ValueError("kmax and lmax must be at most %d" % MAX_TABLE)
-    rows = coefficient_table(ns.kind, ns.kmax, ns.lmax, ns.mu)
+    RadialConstraint(ns.kind, ns.mu)  # the tables do not read mu: check it here
+    rows = coefficient_table(ns.kind, ns.kmax, ns.lmax)
     cells = [[str(v) for v in row] for row in rows]
     if ns.json:
         _emit_json({
@@ -663,7 +664,7 @@ def _suite_tables(rng, examples):
     # quadratic row cells against the word sums T_l(u^{-k}) they stand for
     c = RadialConstraint.quadratic(Fraction(-3, 2))
     setup = radial_setup(c, 1)
-    rows = coefficient_table("quadratic", 3, 5, c.mu)
+    rows = coefficient_table("quadratic", 3, 5)
     for k in range(1, 4):
         for l in range(5):
             h = pr_word_sum(setup, l)(RadialFun.u(1, -k))

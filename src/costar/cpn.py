@@ -13,6 +13,8 @@ the operator definition a^{k+l} res(K^l(u^{-k})).  With the quadratic
 constraint the recursion resolves into words in two letters P (weight 1)
 and R (weight 2), giving an analogous rational table
 B(k,l) = a^{k+l} res(T_l(u^{-k})), T_l the sum of the words of weight l.
+Neither table depends on mu, so the quadratic rows are computed at
+mu = -1/2, where a = 1.
 Splitting each word on its leftmost letter gives T_l = P T_{l-1} + R T_{l-2},
 so one pass h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0
 yields the first n cells of row k with 2n - 3 letter applications, where
@@ -176,48 +178,49 @@ def pr_word_sum(setup, weight):
 
 
 @lru_cache(maxsize=256)
-def _quadratic_row(k, n, mu):
+def _quadratic_row(k, n):
     # cells l = 0..n-1 of row k from h_l = R(h_{l-2}) + P(h_{l-1}),
     # h_0 = u^{-k}, h_{-1} = 0: the word sums T_l(u^{-k}) split on their
     # leftmost letter.  R(h_{l-2}) goes first, so it reuses the quotient
-    # that P(h_{l-2}) took in the step before, and each h takes one
-    constraint = RadialConstraint.quadratic(mu)
+    # that P(h_{l-2}) took in the step before, and each h takes one.  The
+    # cells do not depend on mu; at mu = -1/2 the sphere is u = a = 1, so
+    # a^{k+l} res(h_l) is res(h_l)
+    constraint = RadialConstraint.quadratic(Fraction(-1, 2))
     p, r = pr_letters(radial_setup(constraint, 1))
-    a = constraint.sphere_u
     row = []
     before, h = None, RadialFun.u(1, -k)
     for l in range(n):
-        row.append(a ** (k + l) * _real(_restricted_constant(h, constraint)))
+        row.append(_real(_restricted_constant(h, constraint)))
         if l + 1 < n:
             after = p(h) if before is None else r(before) + p(h)
             before, h = h, after
     return tuple(row)
 
 
-def b_coeff_engine(k, l, mu=Fraction(-1, 2)):
+def b_coeff_engine(k, l):
     """Quadratic table a^{k+l} res(T_l(u^{-k})), read from row k of the
-    letter recurrence T_l = P T_{l-1} + R T_{l-2}; the value does not
-    depend on mu, but each mu computes its own rows."""
+    letter recurrence T_l = P T_{l-1} + R T_{l-2}.  The value does not
+    depend on mu, so the rows are computed once, at a = 1."""
     if k < 0 or l < 0:
         raise ValueError("table indices must be nonnegative")
-    return _quadratic_row(k, l + 1, mu)[l]
+    return _quadratic_row(k, l + 1)[l]
 
 
-def _table_row(kind, k, n, mu):
+def _table_row(kind, k, n):
     # cells l = 0..n-1 of row k of the linear or the quadratic table
     if kind == "linear":
         return [a_coeff_engine(k, l) for l in range(n)]
-    return list(_quadratic_row(k, n, mu))
+    return list(_quadratic_row(k, n))
 
 
-def coefficient_table(kind, kmax, lmax, mu=Fraction(-1, 2)):
-    """Table rows k = 1..kmax, columns l = 0..lmax-1 for one constraint."""
+def coefficient_table(kind, kmax, lmax):
+    """Table rows k = 1..kmax, columns l = 0..lmax-1 for one constraint;
+    neither table depends on mu."""
     if kmax < 1 or lmax < 1:
         raise ValueError("table extents must be positive")
     if kind not in ("linear", "quadratic"):
         raise ValueError("table kind must be 'linear' or 'quadratic'")
-    RadialConstraint(kind, mu)  # the linear rows do not read mu: check it here
-    return [_table_row(kind, k, lmax, mu) for k in range(1, kmax + 1)]
+    return [_table_row(kind, k, lmax) for k in range(1, kmax + 1)]
 
 
 def table_reduced_product(constraint, f, g, order):
@@ -236,7 +239,7 @@ def table_reduced_product(constraint, f, g, order):
         if mk.is_zero():
             continue
         uk_mk = mk * RadialRational.u_power(k)
-        row = _table_row(constraint.kind, k, order - k + 1, constraint.mu)
+        row = _table_row(constraint.kind, k, order - k + 1)
         for l, c in enumerate(row):
             if not c:
                 continue

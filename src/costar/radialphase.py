@@ -201,13 +201,6 @@ class RadialFun(TermRing):
                     _merge(cells, key, c * (factorial(k) // _multi_factorial(s)))
         return den, cells
 
-    @staticmethod
-    def from_expansion(den, cells, dim):
-        out = []
-        for key, c in cells.items():
-            out.append((key, RadialRational(UPoly.of(c), den)))
-        return RadialFun(dim, out)
-
     def is_zero(self):
         """True iff the terms sum to the zero function.
 
@@ -362,21 +355,27 @@ def _require_even(f, op):
             )
 
 
+@cache
+def prolonged(a, h):
+    # (a/u)^h = a^h u^-h, the prolongation of a key of degree 2h
+    return RadialRational.u_power(-h).scale(GaussianRational.of(a ** h))
+
+
 def prol(f, constraint):
     """Prolongation: pull the restriction of f back along z -> sqrt(a/u) z.
 
-    On a term z^alpha zbar^beta R(u) of even degree d this gives
-    a^{d/2} u^{-d/2} z^alpha zbar^beta R(a), with a = -2*mu.  Homogeneous
+    On a term z^alpha zbar^beta R(u) of even degree 2h this gives
+    R(a) (a/u)^h z^alpha zbar^beta, with a = -2*mu.  Homogeneous
     functions are fixed; prol is a projection onto scale-invariant functions.
+    f may be a JetFun, whose Jet parts evaluate to their coefficient 0.
     """
     _require_even(f, "prolongation")
     a = constraint.sphere_u
     out = {}
     for key, r in f.terms.items():
-        d = sum(key[0]) + sum(key[1])
-        val = r.eval(a) * GaussianRational.of(a ** (d // 2))
-        if not val.is_zero():
-            out[key] = RadialRational.u_power(-(d // 2)).scale(val)
+        c = r.eval(a)
+        if c:
+            out[key] = prolonged(a, (sum(key[0]) + sum(key[1])) // 2).scale(c)
     return RadialFun._of_terms(f.dim, out)
 
 
@@ -502,14 +501,13 @@ def _jet_fun(a, top):
 class SphereJets:
     """Taylor jets in t = u - a at the sphere a = -2*mu for a transfer to
     order n: the ring (fun), the jets of J and of its kernel parts, and
-    prol and pij, for the jet PhaseSetup of reduction.radial_setup.
-    convert(f, m) gives the order-m coefficient 2(n - m) + 1 coefficients,
-    its deficit 2m (README, "Jets at the sphere").  Jets of radial parts
-    are cached: the terms of one series repeat a few dozen of them.
+    pij, for the jet PhaseSetup of reduction.radial_setup, whose prol is
+    the prol above.  convert(f, m) gives the order-m coefficient
+    2(n - m) + 1 coefficients, its deficit 2m (README, "Jets at the
+    sphere").
     """
 
-    __slots__ = ("order", "a", "fun", "j", "parts", "quotient", "jets",
-                 "prolongations")
+    __slots__ = ("order", "a", "fun", "j", "parts", "quotient", "prolongations")
 
     def __init__(self, constraint, parts, dim, order):
         # parts: constraint.kernel_parts(), which are polynomials in u
@@ -523,24 +521,20 @@ class SphereJets:
         j = parts[0].num.shifted(self.a, len(parts))
         n = max(top, 2)
         self.j = self.fun.from_radial(jet(j.truncated(n), n), dim)
-        self.jets, self.prolongations = {}, {}
+        self.prolongations = {}
         # t/J(a + t) to top coefficients: J has the simple zero t = 0
         self.quotient = _inverse(j.exact_div(UPoly.u(1)), top)
 
     def jet(self, r, n):
         """The Jet of the RadialRational r to n coefficients, num(a + t)
         times 1/den(a + t); a pole at a raises the PoleError of eval."""
-        key = (r, n)
-        out = self.jets.get(key)
-        if out is None:
-            p = r.num.shifted(self.a, n)
-            if r.den.degree() > 0:
-                den = r.den.shifted(self.a, n)
-                if not den.eval(0):
-                    r.eval(self.a)  # raises
-                p = p.jet_mul(_inverse(den, n), n)
-            out = self.jets[key] = self.fun._coefficients(p, n)
-        return out
+        p = r.num.shifted(self.a, n)
+        if r.den.degree() > 0:
+            den = r.den.shifted(self.a, n)
+            if not den.eval(0):
+                r.eval(self.a)  # raises
+            p = p.jet_mul(_inverse(den, n), n)
+        return self.fun._coefficients(p, n)
 
     def convert(self, f, m):
         # f as coefficient m of a series of the order, checked as prol checks it
@@ -553,26 +547,12 @@ class SphereJets:
                 out[key] = c
         return self.fun._of_terms(f.dim, out)
 
-    def prolonged(self, h, n=None):
-        # (a/u)^h = a^h u^-h, the prolongation of a key of degree 2h, or its
-        # jet to n coefficients
+    def prolonged(self, h, n):
+        # the jet of (a/u)^h to n coefficients
         out = self.prolongations.get((h, n))
         if out is None:
-            out = RadialRational.u_power(-h).scale(GaussianRational.of(self.a ** h))
-            if n is not None:
-                out = self.jet(out, n).p
-            self.prolongations[(h, n)] = out
+            out = self.prolongations[(h, n)] = self.jet(prolonged(self.a, h), n).p
         return out
-
-    def prol(self, x):
-        # c(0) (a/u)^h on a key of degree 2h, as prol reads r(a) off its terms
-        out = {}
-        for key, c in x.terms.items():
-            c0 = c.value()
-            if c0:
-                h = (sum(key[Z]) + sum(key[ZBAR])) // 2
-                out[key] = self.prolonged(h).scale(c0)
-        return RadialFun._of_terms(x.dim, out)
 
     def pij(self, x):
         # (c - c(0) (a/u)^h) / t times t/J on each term: one coefficient less
@@ -580,7 +560,7 @@ class SphereJets:
         t = UPoly.u(1)
         jet = self.fun._coefficients
         for key, c in x.terms.items():
-            p, n, c0 = c.p, c.n, c.value()
+            p, n, c0 = c.p, c.n, c.eval(self.a)
             if c0:
                 h = (sum(key[Z]) + sum(key[ZBAR])) // 2
                 p = p - self.prolonged(h, n).scale(c0)

@@ -104,15 +104,19 @@ def flat_setup(n):
 def radial_setup(constraint, dim):
     """Radial functions on C^dim with a sphere constraint.  Its jets hook
     gives the same setup on Taylor jets at the sphere (SphereJets), where
-    the Wick kernel, the kernel against J and the transfer run unchanged."""
+    the Wick kernel, the kernel against J, the transfer and prol run
+    unchanged."""
     label = "radial-%s-%d" % (constraint.kind, dim)
     parts = constraint.kernel_parts()
+
+    def prol(f):
+        return radialphase.prol(f, constraint)
 
     def jets(order):
         sphere = radialphase.SphereJets(constraint, parts, dim, order)
         return PhaseSetup(
             "%s-jets-%d" % (label, order), sphere.j, radialphase.wick_kernel,
-            radialphase.constraint_kernel(sphere.parts), sphere.prol, sphere.pij,
+            radialphase.constraint_kernel(sphere.parts), prol, sphere.pij,
             radialphase.poisson), sphere.convert
 
     return PhaseSetup(
@@ -120,7 +124,7 @@ def radial_setup(constraint, dim):
         j=constraint.j(dim),
         kernel=radialphase.wick_kernel,
         j_kernel=radialphase.constraint_kernel(parts),
-        prol=lambda f: radialphase.prol(f, constraint),
+        prol=prol,
         pij=lambda f: radialphase.pij(f, constraint),
         bracket=radialphase.poisson,
         jets=jets,

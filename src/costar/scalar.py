@@ -344,9 +344,6 @@ class GaussianRational:
     def is_zero(self):
         return not self._a and not self._b
 
-    def conjugate(self):
-        return _raw(self._a, -self._b, self._d)
-
     def __bool__(self):
         return bool(self._a or self._b)
 
@@ -1190,6 +1187,8 @@ class Jet:
     deficit top - n, a sum keeps the larger deficit, a derivative adds
     one, a scale keeps it and a product adds those of its factors (README,
     "Jets at the sphere").  Equality reads the coefficients both know.
+    eval(a) is coefficient 0, so radialphase.prol reads a jet's value on
+    the sphere as it reads a RadialRational's.
     """
 
     __slots__ = ("p", "n")
@@ -1209,8 +1208,8 @@ class Jet:
         # u**k = (a + t)**k for k >= 0, exact
         return cls((UPoly((cls.a, 1)) ** k).truncated(cls.top), cls.top)
 
-    def value(self):
-        # coefficient 0, the value at u = a
+    def eval(self, u0):
+        # coefficient 0: a jet is evaluated only at its own point u0 = a
         p = self.p
         if not p._re:
             return ZERO

