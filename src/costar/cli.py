@@ -611,7 +611,7 @@ def _suite_axioms(rng, examples):
             gf = reduce_star(setup, g, f, 2)
             ok = ok and reduce_star(setup, setup.one, f, 2) == setup.as_series(f, 2)
             ok = ok and fg[0] == f * g
-            ok = ok and fg[1] - gf[1] == setup.prol(setup.bracket(f, g).scale(I))
+            ok = ok and fg[1] - gf[1] == setup.prol(poisson(f, g).scale(I))
             ok = ok and all(is_in_b_cap_f(setup, fg[k]) for k in range(3))
     return ok
 

@@ -265,9 +265,10 @@ def obstruction_order2(f, g, mu):
     {J(u), f} = J'(u) {u, f} with J'(-2 mu) != 0 (RadialConstraint), so
     the check against the quadratic constraint serves the linear one too.
     """
+    quadratic = RadialConstraint.quadratic(mu)
     lin = radial_setup(RadialConstraint.linear(mu), f.dim)
-    quad = radial_setup(RadialConstraint.quadratic(mu), f.dim)
-    a = -2 * Fraction(mu)
+    quad = radial_setup(quadratic, f.dim)
+    a = quadratic.sphere_u
     require_admissible(quad, f, g)
     comm = wick_product(f, g, 2) - wick_product(g, f, 2)
 

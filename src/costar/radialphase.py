@@ -300,7 +300,7 @@ def is_homogeneous(f):
 class RadialConstraint:
     """Radial constraint J(u) with regular zero on the sphere u = -2*mu."""
 
-    __slots__ = ("kind", "mu")
+    __slots__ = ("kind", "mu", "sphere_u")
 
     def __init__(self, kind, mu):
         if kind not in ("linear", "quadratic"):
@@ -309,7 +309,8 @@ class RadialConstraint:
         self.mu = Fraction(mu)
         if self.mu >= 0:
             raise ValueError("mu must be negative")
-        a = self.sphere_u
+        # the value of u on the constraint sphere
+        a = self.sphere_u = -2 * self.mu
         j = self.j_radial()
         if not j.eval(a).is_zero():
             raise ValueError("constraint does not vanish on the sphere")
@@ -323,11 +324,6 @@ class RadialConstraint:
     @staticmethod
     def quadratic(mu):
         return RadialConstraint("quadratic", mu)
-
-    @property
-    def sphere_u(self):
-        # value of u on the constraint sphere
-        return -2 * self.mu
 
     def j_radial(self):
         if self.kind == "linear":

@@ -23,9 +23,10 @@ product of two functions on C is then
 for an intertwiner S that starts at the identity; the default S = id.
 S^{-1} is applied by the same forward substitution, with the terms of S
 in place of the kernels.  prol_transfer gives prol(T(series)) and
-prol_transfer_star gives prol(T(fs * gs)); a radial setup runs both, the
-Wick product included, on a second setup over Taylor jets at the sphere,
-through the same forward substitution and kernel loop.
+prol_transfer_star gives prol(T(fs * gs)) on the setup PhaseSetup.jets
+gives: a radial setup runs both, the Wick product included, on a second
+setup over Taylor jets at the sphere, and a flat setup on itself.
+Admissibility reads {J, f} off the kernels: M_1(J, f) - M_1(f, J) = i{J, f}.
 """
 
 from __future__ import annotations
@@ -45,32 +46,35 @@ def identity(x):
     return x
 
 
+def _unchanged(f, m):
+    return f
+
+
 class PhaseSetup:
     """A phase space with constraint, product kernels and classical maps.
 
-    kernel(f, g, r) is the order-r bidifferential product term, and
+    kernel(f, g, r) is the order-r bidifferential product term, with
+    M_1(f, g) - M_1(g, f) = i{f, g} for the Poisson bracket, and
     j_kernel(f, r) equals kernel(f, j, r) in a closed form, which the
     transfer series runs on; prol and pij satisfy f = prol(f) + pij(f) * j
-    with prol(j) = 0, and bracket is the Poisson bracket generating kernel
-    antisymmetry at order one.  one and zero are the unit and zero of j's
-    algebra.  jets(n) is None, or gives (setup, convert) for prol(T(.))
-    to order n on another algebra: that setup's prol gives the same terms
-    as this one's on the transfer, and convert(f, m) is f as the order-m
-    coefficient of a series of order n in that algebra.
+    with prol(j) = 0.  one and zero are the unit and zero of j's algebra.
+    jets(n) gives (setup, convert) for prol(T(.)) to order n: that setup's
+    prol gives the same terms as this one's on the transfer, and
+    convert(f, m) is f as the order-m coefficient of a series of order n
+    in its algebra.  Without a jets hook it gives this setup and f itself.
     """
 
-    __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "bracket",
-                 "jets", "one", "zero")
+    __slots__ = ("label", "j", "kernel", "j_kernel", "prol", "pij", "jets",
+                 "one", "zero")
 
-    def __init__(self, label, j, kernel, j_kernel, prol, pij, bracket, jets=None):
+    def __init__(self, label, j, kernel, j_kernel, prol, pij, jets=None):
         self.label = label
         self.j = j
         self.kernel = kernel
         self.j_kernel = j_kernel
         self.prol = prol
         self.pij = pij
-        self.bracket = bracket
-        self.jets = jets
+        self.jets = jets or (lambda order: (self, _unchanged))
         self.one = type(j).one(j.dim)
         self.zero = type(j).zero(j.dim)
         if not prol(j).is_zero():
@@ -80,10 +84,6 @@ class PhaseSetup:
 
     def as_series(self, f, order):
         return LambdaSeries((f,) + (self.zero,) * order)
-
-    def vanishes_on_c(self, f):
-        # prol identifies ambient spellings of the same function on C
-        return self.prol(f).is_zero()
 
 
 def flat_setup(n):
@@ -97,7 +97,6 @@ def flat_setup(n):
         j_kernel=flatphase.pn_kernel,
         prol=flatphase.prol,
         pij=flatphase.pij,
-        bracket=flatphase.poisson,
     )
 
 
@@ -116,8 +115,8 @@ def radial_setup(constraint, dim):
         sphere = radialphase.SphereJets(constraint, parts, dim, order)
         return PhaseSetup(
             "%s-jets-%d" % (label, order), sphere.j, radialphase.wick_kernel,
-            radialphase.constraint_kernel(sphere.parts), prol, sphere.pij,
-            radialphase.poisson), sphere.convert
+            radialphase.constraint_kernel(sphere.parts), prol,
+            sphere.pij), sphere.convert
 
     return PhaseSetup(
         label=label,
@@ -126,7 +125,6 @@ def radial_setup(constraint, dim):
         j_kernel=radialphase.constraint_kernel(parts),
         prol=prol,
         pij=lambda f: radialphase.pij(f, constraint),
-        bracket=radialphase.poisson,
         jets=jets,
     )
 
@@ -161,59 +159,57 @@ class OperatorSeries:
         return LambdaSeries(tuple(out))
 
     def apply_inverse(self, series):
-        """The inverse series applied by forward substitution,
+        """The inverse series applied by T's forward substitution,
         h_m = a_m - sum_{k=1..m} ops[k](h_{m-k}): n(n+1)/2 operator calls
         at order n.  Only a series with identity leading term inverts."""
         if self.ops[0] is not identity:
             raise ValueError("can only invert a series whose leading term is the identity")
         self._check_order(series)
-        h = []
-        for m, acc in enumerate(series.coeffs):
-            for k in range(1, m + 1):
-                acc = acc - self.ops[k](h[m - k])
-            h.append(acc)
-        return LambdaSeries(tuple(h))
+        run = _TransferRun(lambda h, k: self.ops[k](h), identity)
+        return LambdaSeries(tuple(map(run.push, series.coeffs)))
 
 
 class _TransferRun:
-    """The forward substitution h = T(a), extended one order at a time.
+    """A forward substitution h = (1 + D)^{-1} a for
+    (D a)_m = sum_{k=1..m} op(pre(a_{m-k}), k), one order at a time.
 
-    push(a_m) returns h_m = a_m - sum_{k=1..m} M_k(pi_J(h_{m-k}), J).
-    pi_J(h_{m-1}) is taken when a_m is pushed, so a run of n + 1 orders
-    makes n pij and n(n+1)/2 j_kernel calls.  It is not an apply_inverse of
-    1 + D, which would run one pij per kernel call.
+    push(a_m) returns h_m = a_m - sum_{k=1..m} op(pre(h_{m-k}), k).
+    pre(h_{m-1}) is taken when a_m is pushed, so a run of n + 1 orders
+    makes n pre and n(n+1)/2 op calls.  T runs on (j_kernel, pij), one pij
+    per order where an apply_inverse of 1 + D would take one per kernel
+    call, and OperatorSeries.apply_inverse on (ops[k], identity).
     """
 
-    __slots__ = ("setup", "h", "quotients")
+    __slots__ = ("op", "pre", "h", "pres")
 
-    def __init__(self, setup):
-        self.setup = setup
+    def __init__(self, op, pre):
+        self.op = op
+        self.pre = pre
         self.h = []
-        self.quotients = []
+        self.pres = []
 
     def push(self, a):
-        setup, m = self.setup, len(self.h)
+        m = len(self.h)
         if m:
-            self.quotients.append(setup.pij(self.h[-1]))
+            self.pres.append(self.pre(self.h[-1]))
         for k in range(1, m + 1):
-            a = a - setup.j_kernel(self.quotients[m - k], k)
+            a = a - self.op(self.pres[m - k], k)
         self.h.append(a)
         return a
 
 
 def transfer_series(setup, series):
     """The transfer image h = T(series), by forward substitution."""
-    run = _TransferRun(setup)
-    return LambdaSeries(tuple(run.push(a) for a in series.coeffs))
+    run = _TransferRun(setup.j_kernel, setup.pij)
+    return LambdaSeries(tuple(map(run.push, series.coeffs)))
 
 
 def _prolonged_orders(setup, series):
-    """prol(h_m) for h = T(series), lazily in m.  Without jets T runs at
-    once.  convert checks a_m as prol checks h_m, which has the odd terms
-    and poles of a_m: so a_0 .. a_{n-1} convert before the first yield and
-    a_n before the last, where prol of transfer_series raises for them."""
-    if setup.jets is None:
-        return map(setup.prol, transfer_series(setup, series).coeffs)
+    """prol(h_m) for h = T(series), lazily in m, on the setup that
+    setup.jets gives (a flat setup is its own).  convert checks a_m as
+    prol checks h_m, which has the odd terms and poles of a_m: so
+    a_0 .. a_{n-1} convert before the first yield and a_n before the
+    last, where prol of transfer_series raises for them."""
     n = series.order
     jets, convert = setup.jets(n)
     head = [convert(series[m], m) for m in range(n)]
@@ -222,7 +218,7 @@ def _prolonged_orders(setup, series):
 
 def _prolonged_run(setup, coeffs):
     # prol(h_m) for h = T(coeffs), one push of the forward substitution per m
-    run = _TransferRun(setup)
+    run = _TransferRun(setup.j_kernel, setup.pij)
     return (setup.prol(run.push(a)) for a in coeffs)
 
 
@@ -230,8 +226,8 @@ def prol_transfer(setup, series):
     """prol(T(series)), the reduced image of a series, order by order.
 
     Radial setups compute it on Taylor jets at the sphere (PhaseSetup.jets)
-    and flat ones as prol of transfer_series; both raise the errors of that
-    composition, in its order.
+    and flat ones on themselves; both raise the errors of prol of
+    transfer_series, in its order.
     """
     return LambdaSeries(tuple(_prolonged_orders(setup, series)))
 
@@ -249,7 +245,7 @@ def transfer_ops(setup, order):
         run = runs.get(id(f))
         if run is None:
             # the run's h[0] is f itself, so id(f) is not reused while it lives
-            run = runs[id(f)] = _TransferRun(setup)
+            run = runs[id(f)] = _TransferRun(setup.j_kernel, setup.pij)
             run.push(f)
         while len(run.h) <= n:
             run.push(setup.zero)
@@ -282,10 +278,8 @@ def prol_transfer_star(setup, fs, gs):
     from the factors: so a factor coefficient up to the order of the
     product with an odd term or a pole at the sphere raises prol's
     ParityError or PoleError, before the first yield, even where the
-    product would have none.  Flat ones take prol_transfer of star_series.
+    product would have none.  Flat ones take it on themselves.
     """
-    if setup.jets is None:
-        return prol_transfer(setup, star_series(setup, fs, gs))
     fs[0]._check(gs[0])
     n = min(fs.order, gs.order)
     jets, convert = setup.jets(n)
@@ -329,10 +323,11 @@ def in_bstar(setup, series):
 
 
 def is_in_b_cap_f(setup, f):
-    """Classical admissibility: f is prolonged and {J, f} vanishes on C."""
+    """Classical admissibility: f is prolonged and {J, f} vanishes on C,
+    read off the kernels as M_1(J, f) - M_1(f, J) = i{J, f}."""
     if f != setup.prol(f):
         return False
-    return setup.vanishes_on_c(setup.bracket(setup.j, f))
+    return setup.prol(setup.kernel(setup.j, f, 1) - setup.j_kernel(f, 1)).is_zero()
 
 
 def reduce_star_series(setup, fs, gs, intertwiner=None):

@@ -255,7 +255,7 @@ def test_criterion_5_star_axioms():
             fg = reduce_star(setup, f, g, order)
             gf = reduce_star(setup, g, f, order)
             ok = ok and fg[0] == f * g
-            ok = ok and fg[1] - gf[1] == setup.prol(setup.bracket(f, g).scale(I))
+            ok = ok and fg[1] - gf[1] == setup.prol(poisson(f, g).scale(I))
             gh = reduce_star(setup, g, h, order)
             left = reduce_star_series(setup, fg, setup.as_series(h, order))
             right = reduce_star_series(setup, setup.as_series(f, order), gh)

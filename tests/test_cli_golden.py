@@ -9,7 +9,9 @@ The argvs are every command-line op of the benchmark workloads at seed 0
 (perfbench/workloads.py), each with and without --json; the commands of
 acceptance criterion 9; star and reduce in dim 1 in both radial modes;
 `coeffs` argvs that the level check refuses, and where the extents are
-reported first; and `verify --suite all --examples 1`.  Help texts and
+reported first; factors that are prolonged but fail only on {J, f}, and
+an admissible flat pair in dim 3; and `verify --suite all --examples 1`
+and `--suite membership --examples 3`.  Help texts and
 argparse errors are left out: their wording differs between Python
 versions.
 
@@ -63,6 +65,19 @@ MU_CHECK = (
     ["coeffs", "--kmax", "17", "--mu=1"],
 )
 
+# refusals that pass f == prol f and fail only on {J, f}, then a flat pair
+# that passes both
+ADMISSIBILITY = (
+    ["reduce", "--mode", "radial-linear", "--dim", "2", "--order", "2",
+     "--", "z1^2/u", "1"],
+    ["reduce", "--mode", "radial-quadratic", "--dim", "2", "--order", "2",
+     "--", "1", "zb1^2/u"],
+    ["reduce", "--mode", "flat", "--dim", "2", "--order", "2", "q1", "q2"],
+    ["obstruct", "--dim", "2", "--", "z1^2/u", "z2*zb1/u"],
+    ["reduce", "--mode", "flat", "--dim", "3", "--order", "4",
+     "q1^3*p2 + q2*p1", "p1^3*q2 + q1*p2^2"],
+)
+
 
 def with_json(argv):
     """argv with --json in place of --tsv, or appended."""
@@ -88,9 +103,10 @@ def golden_argvs():
         for op in workloads.WORKLOADS[name](0):
             if "argv" in op:
                 argvs.append(op["argv"])
-    argvs += [list(a) for a in CRITERION_9 + DIM_1 + MU_CHECK]
+    argvs += [list(a) for a in CRITERION_9 + DIM_1 + MU_CHECK + ADMISSIBILITY]
     argvs += [j for j in map(with_json, list(argvs)) if j is not None]
     argvs.append(["verify", "--suite", "all", "--examples", "1"])
+    argvs.append(["verify", "--suite", "membership", "--examples", "3"])
     return argvs
 
 

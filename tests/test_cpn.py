@@ -304,11 +304,12 @@ def test_obstruction_matches_four_reduced_products(fg, mu):
 
 
 def test_obstruction_call_counts(monkeypatch):
-    # one Wick commutator, M_0..M_2 on each side, and one order-2 transfer
-    # per constraint on its jet setup (PhaseSetup.jets): the closed counts
-    # of an order-2 forward substitution there, 2 pij and 3 j_kernel calls,
-    # and no call of the radial setup's j_kernel or pij after the checks
-    # of its constructor
+    # admissibility's M_1(J, x) and M_1(x, J) on both factors against the
+    # quadratic constraint, one Wick commutator, M_0..M_2 on each side, and
+    # one order-2 transfer per constraint on its jet setup (PhaseSetup.jets):
+    # the closed counts of an order-2 forward substitution there, 2 pij and
+    # 3 j_kernel calls, and no other call of the radial setup's j_kernel or
+    # pij after the checks of its constructor
     calls = Counter()
     wick, setup_of = radialphase.wick_kernel, cpn.radial_setup
 
@@ -343,7 +344,7 @@ def test_obstruction_call_counts(monkeypatch):
     _, _, ratio = obstruction_order2(HOMOG[2], HOMOG[3], -HALF)
     assert ratio == GaussianRational(-2)
     assert calls == Counter({
-        ("wick_kernel", "RadialFun"): 6,
+        ("wick_kernel", "RadialFun"): 8, ("quadratic", "j_kernel"): 2,
         ("linear", "jets", 2): 1, ("quadratic", "jets", 2): 1,
         ("linear", "jet pij"): 2, ("quadratic", "jet pij"): 2,
         ("linear", "jet j_kernel"): 3, ("quadratic", "jet j_kernel"): 3,

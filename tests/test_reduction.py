@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from costar import flatphase, radialphase
 from costar.flatphase import FlatPoly
-from costar.radialphase import RadialConstraint, RadialFun, RadialRational, UPoly
+from costar.radialphase import (
+    ParityError,
+    RadialConstraint,
+    RadialFun,
+    RadialRational,
+    UPoly,
+)
 from costar.reduction import (
     MembershipError,
     OperatorSeries,
@@ -26,7 +33,7 @@ from costar.reduction import (
     transfer_series,
     verify_intertwiner,
 )
-from costar.scalar import GaussianRational, I, LambdaSeries
+from costar.scalar import GaussianRational, I, LambdaSeries, PoleError
 
 HALF = Fraction(1, 2)
 
@@ -219,6 +226,88 @@ def test_classical_membership():
     assert not is_in_b_cap_f(flat, FlatPoly.q(2, 2))
 
 
+def outcome(fn):
+    try:
+        return "value", fn()
+    except (ParityError, PoleError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def admissibility_cases(draw):
+    # a setup, the Poisson bracket of its algebra and a function with terms
+    # of any parity and degree: flat in dims 2-3, or radial in dims 1-3 over
+    # denominators with a pole at the sphere a or none
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2, 3]))
+        exps = st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n)
+        f = draw(st.lists(st.tuples(exps, gauss()), max_size=3).map(
+            lambda ps: FlatPoly(n, ps)))
+        return flat_setup(n), flatphase.poisson, f
+    dim = draw(st.sampled_from([1, 2, 3]))
+    constraint = RadialConstraint(draw(st.sampled_from(["linear", "quadratic"])),
+                                  draw(st.sampled_from([-HALF, -Fraction(3, 2)])))
+    a = constraint.sphere_u
+    exps = st.lists(st.integers(0, 2), min_size=dim, max_size=dim).map(tuple)
+    dens = st.sampled_from([UPoly.of(1), UPoly.u(1), UPoly((1, 1)), UPoly((-a, 1))])
+    radials = st.builds(lambda cs, d: RadialRational(UPoly(cs), d),
+                        st.lists(gauss(), max_size=3), dens)
+    f = draw(st.lists(st.tuples(st.tuples(exps, exps), radials), max_size=3).map(
+        lambda ts: RadialFun(dim, ts)))
+    return radial_setup(constraint, dim), radialphase.poisson, f
+
+
+@settings(max_examples=200)
+@given(admissibility_cases())
+def test_admissibility_matches_the_poisson_definition(case):
+    # is_in_b_cap_f, which reads {J, f} off M_1(J, f) - M_1(f, J), against
+    # its definition through the Poisson bracket, on f and on prol(f): the
+    # same verdict, or the same exception with the same message
+    setup, poisson, f = case
+
+    def definition(x):
+        return x == setup.prol(x) and setup.prol(poisson(setup.j, x)).is_zero()
+
+    xs = [f]
+    prolonged = outcome(lambda: setup.prol(f))
+    if prolonged[0] == "value":
+        xs.append(prolonged[1])
+    for x in xs:
+        assert outcome(lambda: is_in_b_cap_f(setup, x)) == outcome(lambda: definition(x))
+
+
+@st.composite
+def flat_membership_cases(draw):
+    # a flat setup, an order n <= 8, a series whose a_0 has prol(a_0) != 0,
+    # and a member g * J of the left ideal
+    setup = flat_setup(draw(st.sampled_from([2, 3])))
+    n = draw(st.integers(0, 8))
+    exps = st.lists(st.integers(0, 2), min_size=2 * setup.j.dim,
+                    max_size=2 * setup.j.dim)
+    polys = st.lists(st.tuples(exps, gauss()), max_size=3).map(
+        lambda ps: FlatPoly(setup.j.dim, ps))
+    off = LambdaSeries((draw(polys.filter(lambda f: not setup.prol(f).is_zero())),)
+                       + tuple(draw(polys) for _ in range(n)))
+    return setup, off, star_elements(setup, draw(polys), setup.j, n)
+
+
+@settings(max_examples=200)
+@given(flat_membership_cases())
+def test_flat_in_istar_stops_at_the_first_order_off_the_ideal(case):
+    # the transfer runs one order at a time: prol(h_0) = prol(a_0) != 0
+    # answers before any pij or kernel call, and an ideal member takes the
+    # closed counts of the whole forward substitution
+    setup, off, member = case
+    n = off.order
+    calls = Counter()
+    counted = counted_maps(setup, calls)
+    calls.clear()  # the pij(J) check of the constructor
+    assert not in_istar(counted, off)
+    assert not calls
+    assert in_istar(counted, member)
+    assert calls == Counter(pij=n, j_kernel=n * (n + 1) // 2)
+
+
 def test_reduce_star_rejects_non_members():
     setup = radial_setup(RadialConstraint.linear(-HALF), 2)
     with pytest.raises(MembershipError, match="left"):
@@ -253,7 +342,7 @@ def test_reduce_star_laws_radial(f, g):
     assert fg[0] == f * g
     comm = fg - gf
     assert comm[0].is_zero()
-    assert comm[1] == setup.prol(setup.bracket(f, g)).scale(I)
+    assert comm[1] == setup.prol(radialphase.poisson(f, g)).scale(I)
     for c in fg.coeffs:
         assert is_in_b_cap_f(setup, c)
 
@@ -264,7 +353,7 @@ def test_reduce_star_laws_flat(f, g):
     fg = reduce_star(setup, f, g, 2)
     gf = reduce_star(setup, g, f, 2)
     assert fg[0] == f * g
-    assert (fg - gf)[1] == setup.prol(setup.bracket(f, g)).scale(I)
+    assert (fg - gf)[1] == setup.prol(flatphase.poisson(f, g)).scale(I)
     for c in fg.coeffs:
         assert is_in_b_cap_f(setup, c)
 
@@ -291,8 +380,7 @@ def test_verify_nontrivial_intertwiner():
 def rebuilt(setup, **changed):
     # the setup with some of its maps replaced; the checks run again
     fields = dict(label=setup.label, j=setup.j, kernel=setup.kernel,
-                  j_kernel=setup.j_kernel, prol=setup.prol, pij=setup.pij,
-                  bracket=setup.bracket)
+                  j_kernel=setup.j_kernel, prol=setup.prol, pij=setup.pij)
     fields.update(changed)
     return PhaseSetup(**fields)
 
@@ -309,11 +397,12 @@ def test_phase_setup_checks_its_maps(setup):
 
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
 def test_intertwiner_must_start_at_identity(setup):
-    # a non-identity leading term is refused before any kernel call
+    # a non-identity leading term is refused before the product's first
+    # kernel call: only admissibility's M_1(J, x) runs, once per factor
     calls = Counter()
 
     def kernel(f, g, r):
-        calls[r] += 1
+        calls[f is setup.j, r] += 1
         return setup.kernel(f, g, r)
 
     counted = rebuilt(setup, kernel=kernel)
@@ -326,7 +415,7 @@ def test_intertwiner_must_start_at_identity(setup):
         reduce_star(counted, setup.one, setup.one, 1, bad)
     with pytest.raises(ValueError, match=message):
         verify_intertwiner(counted, bad, setup.one, setup.one, 1)
-    assert not calls
+    assert calls == Counter({(True, 1): 4})
 
 
 def paper_transfer(setup, n, f):

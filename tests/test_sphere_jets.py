@@ -33,10 +33,10 @@ MUS = [Fraction(-1, 2), Fraction(-1), Fraction(-3, 2)]
 
 
 def generic(setup):
-    # the same setup without its jet paths: prol of transfer_series, on
-    # star_series with the Wick kernels
+    # the same setup without its jet paths: the forward substitution and
+    # star_series with the Wick kernels on RadialFuns
     return PhaseSetup(setup.label, setup.j, setup.kernel, setup.j_kernel,
-                      setup.prol, setup.pij, setup.bracket)
+                      setup.prol, setup.pij)
 
 
 @cache
@@ -131,7 +131,8 @@ BAD = [
 def test_errors_match_the_generic_path(kind, at, bad):
     # an odd term, or a pole at a = 2, at order `at` of an order-3 series:
     # the same exception and message as prol of transfer_series, and
-    # in_istar stops where it stopped, before a_3 when a_0 is off the ideal
+    # in_istar stops where the eager transfer stopped, before a_3 when a_0
+    # is off the ideal
     setup = radial_setup(RadialConstraint(kind, -1), 2)
     ok = RadialFun.z(1, 2) * RadialFun.zbar(2, 2) * setup.j
     off_ideal = RadialFun.u(2)
@@ -143,7 +144,8 @@ def test_errors_match_the_generic_path(kind, at, bad):
         assert want[0] != "value"
         assert outcome(lambda: prol_transfer(setup, series)) == want
         got = outcome(lambda: in_istar(setup, series))
-        assert got == outcome(lambda: in_istar(generic(setup), series))
+        assert got == outcome(lambda: all(
+            c.is_zero() for c in map(setup.prol, transfer_series(setup, series).coeffs)))
         if first is off_ideal:
             assert got == (("value", False) if at == 3 else want)
 
@@ -237,16 +239,20 @@ def counted_jets(setup, calls):
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
 def test_radial_reduce_star_makes_no_j_kernel_call(kind, monkeypatch):
-    # no kernel, j_kernel or pij call with a RadialFun operand: after the
-    # admissibility checks, the Wick product and the transfer run on the
-    # jet setup, whose operands are JetFuns
+    # no kernel, j_kernel or pij call with a RadialFun operand but
+    # admissibility's M_1(J, x) and M_1(x, J) on each factor: the Wick
+    # product and the transfer run on the jet setup, whose operands are
+    # JetFuns
     constraint = RadialConstraint(kind, Fraction(-3, 2))
     setup = radial_setup(constraint, 3)
-    calls = Counter()
+    calls, on_radial = Counter(), []
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name, type(args[0]).__name__] += 1
+            algebra = type(args[0]).__name__
+            calls[name, algebra] += 1
+            if algebra != "JetFun":
+                on_radial.append((name,) + args)
             return fn(*args)
         return wrapper
 
@@ -259,7 +265,8 @@ def test_radial_reduce_star_makes_no_j_kernel_call(kind, monkeypatch):
                                            ("j_kernel", setup.j_kernel),
                                            ("pij", setup.pij)))
     got = reduce_star(setup, f, g, 4)
-    assert {name for name, algebra in calls if algebra != "JetFun"} == set()
+    assert on_radial == [("kernel", setup.j, f, 1), ("j_kernel", f, 1),
+                         ("kernel", setup.j, g, 1), ("j_kernel", g, 1)]
     assert calls["wick_kernel", "JetFun"] == 5
     assert got == reduce_star(generic(radial_setup(constraint, 3)), f, g, 4)
 
