@@ -69,6 +69,7 @@ T_JET_RING = "tests/test_sphere_jets.py::test_jets_are_a_ring_map_mod_t_n"
 T_IS_ZERO = "tests/test_sphere_jets.py::test_is_zero_matches_the_expansion"
 T_ROW = "tests/test_cpn.py::test_quadratic_row_takes_one_quotient_per_cell"
 T_TABLE = "tests/test_cli.py::test_table_parser_agrees_with_argparse"
+T_SCALAR_CAPS = "tests/test_cli.py::test_oversized_scalars_exit_2_at_once"
 # golden refusals of factors that are prolonged and fail only on {J, f}
 T_REFUSALS = ["tests/test_cli_golden.py::test_cli_output_is_golden[%s]" % argv for argv in (
     "reduce --mode radial-linear --dim 2 --order 2 -- z1^2/u 1",
@@ -330,6 +331,18 @@ MUTANTS = [
      "if ended:",
      "if False:",
      [T_TABLE]),
+    ("--mu admits one digit past its cap", CLI,
+     "if _mu_digits(text) <= MAX_MU_DIGITS:",
+     "if _mu_digits(text) <= MAX_MU_DIGITS + 1:",
+     [T_SCALAR_CAPS]),
+    ("expression integers admit one bit past their cap", CLI,
+     "if bits > MAX_BITS:",
+     "if bits > MAX_BITS + 1:",
+     [T_SCALAR_CAPS]),
+    ("integer literals admit one digit past their cap", CLI,
+     "if len(text) > MAX_DIGITS:",
+     "if len(text) > MAX_DIGITS + 1:",
+     [T_SCALAR_CAPS]),
 ]
 
 

@@ -97,6 +97,22 @@ MAX_EXAMPLES = 50
 # coefficients of its numerator and denominator in u.  (q1+p1+q2+p2+q3+p3)^12
 # (6188 terms) parses in about 0.7 s on a 2-core VM; ^16 (20349) is refused.
 MAX_TERMS = 10000
+# An integer literal has at most MAX_DIGITS digits, below the interpreter's
+# 4300-digit limit on converting a string to an int.  Before each product or
+# power the parser also bounds the bit length of the largest integer of the
+# result, estimated as the sum of the operands' (n times the base's for a
+# power): ((2^64)^64)^64 would hold a 262145-bit integer and is refused
+# before it is computed.  A coefficient at the cap has about 1233 digits, so
+# a product of two of them still prints.
+MAX_DIGITS = 1000
+MAX_BITS = 4096
+# --mu: at most this many digits in its numerator and denominator together,
+# read from its text (an exponent e counts as |e| digits) before Fraction()
+# expands it.  A reduced product to order 16 prints integers of about 16
+# times the digits of mu (1614 digits at 100, and 3928 with factors at
+# MAX_BITS), below the 4300-digit limit on printing an int; such a reduce
+# takes 4-28 s in dim 2 on a 2-core VM.
+MAX_MU_DIGITS = 100
 
 
 class ParseError(ValueError):
@@ -179,7 +195,8 @@ class _Parser:
                 rhs = self.parse_unary()
                 if text == "/":
                     rhs = self.inverse(rhs, pos)
-                self.check_size(self.size(value) * self.size(rhs), pos)
+                (s, b), (t, c) = self.measure(value), self.measure(rhs)
+                self.check_size(s * t, b + c, pos)
                 value = value * rhs
             else:
                 return value
@@ -204,31 +221,48 @@ class _Parser:
             kind, text, epos = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be an integer", epos)
-            n = int(text)
+            n = self.integer(text, epos)
             if n > MAX_EXPONENT:
                 raise ParseError("exponent %d is larger than %d" % (n, MAX_EXPONENT),
                                  epos)
             if negative:
                 base = self.inverse(base, pos)
             # a power of s monomials has at most as many as n-multisets of them
-            s = self.size(base)
-            self.check_size(comb(s + n - 1, n) if s else 0, pos)
+            s, b = self.measure(base)
+            self.check_size(comb(s + n - 1, n) if s else 0, n * b, pos)
             return base ** n
         return base
 
-    def size(self, value):
-        return sum(r.num.degree() + r.den.degree() + 1
-                   for _, _, r in term_view(value))
+    def measure(self, value):
+        """The monomials value counts for against MAX_TERMS, and the bit
+        length of the largest integer that stores its coefficients."""
+        terms = bits = 0
+        for _, _, r in term_view(value):
+            terms += r.num.degree() + r.den.degree() + 1
+            for poly in (r.num, r.den):
+                re, im, den = poly.integers()
+                for x in (den, *re, *(im or ())):
+                    if x.bit_length() > bits:
+                        bits = x.bit_length()
+        return terms, bits
 
-    def check_size(self, bound, pos):
-        if bound > MAX_TERMS:
+    def check_size(self, terms, bits, pos):
+        if terms > MAX_TERMS:
             raise ParseError("expression expands to more than %d terms" % MAX_TERMS,
                              pos)
+        if bits > MAX_BITS:
+            raise ParseError("expression holds integers of more than %d bits"
+                             % MAX_BITS, pos)
+
+    def integer(self, text, pos):
+        if len(text) > MAX_DIGITS:
+            raise ParseError("integer longer than %d digits" % MAX_DIGITS, pos)
+        return int(text)
 
     def parse_atom(self):
         kind, text, pos = self.advance()
         if kind == "int":
-            return self.constant(int(text))
+            return self.constant(self.integer(text, pos))
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % MAX_NESTING,
@@ -723,11 +757,24 @@ def cmd_verify(ns):
 
 
 def _fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        from argparse import ArgumentTypeError
-        raise ArgumentTypeError("invalid fraction %r" % text) from None
+    if _mu_digits(text) <= MAX_MU_DIGITS:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            message = "invalid fraction %r" % text
+    else:
+        message = "more than %d digits in numerator and denominator" % MAX_MU_DIGITS
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(message)
+
+
+def _mu_digits(text):
+    """An upper bound, read from the text, on the digits of the numerator
+    and the denominator that Fraction(text) builds."""
+    mantissa, _, exponent = text.lower().partition("e")
+    # nine digits already exceed any cap, and convert at once
+    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")[:9]
+    return sum(map(str.isdecimal, mantissa)) + int(exponent or 0)
 
 
 class Command:

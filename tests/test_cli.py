@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -452,6 +454,41 @@ def test_size_caps_exit_2(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+HUGE_LITERAL = "7" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --mu is measured on its text, before Fraction() expands it
+    (["reduce", "--mode", "radial-linear", "--dim", "2", "--order", "2",
+      "--mu=-1e-10000000", "--", "z1*zb2/u", "z2*zb1/u"], "--mu"),
+    (["reduce", "--mode", "radial-linear", "--dim", "2", "--order", "2",
+      "--mu=-1e-20000", "--", "z1*zb2/u", "z2*zb1/u"], "--mu"),
+    (["coeffs", "--mu=-1/" + "3" * cli.MAX_MU_DIGITS], "--mu"),
+    # integers in expressions: towers of ^64, estimated before each power
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      "((((2^64)^64)^64)^64)^64", "1"], "bits (at position 9)"),
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      "(((((2^64)^64)^64)^64)^64)^64", "1"], "bits (at position 10)"),
+    # 2^240 has 241 bits, and 17 * 241 = MAX_BITS + 1
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      "((2^60)^4)^17", "1"], "bits (at position 10)"),
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      "(2^63)^64*(2^63)^64", "1"], "bits (at position 9)"),
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      HUGE_LITERAL, "1"], "digits (at position 0)"),
+    (["obstruct", "--dim", "2", "z1*zb2/u", "z2*zb1^%s/u" % HUGE_LITERAL],
+     "digits (at position 7)"),
+    (["star", "--mode", "flat", "--dim", "1", "--order", "0",
+      "q1 + " + "1" * (cli.MAX_DIGITS + 1), "1"], "digits (at position 5)"),
+])
+def test_oversized_scalars_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_size_caps_admit_benchmark_inputs():
     # the benchmark reaches order 8, dim 3 and 8x8 tables
     assert cli.MAX_ORDER >= 8 and cli.MAX_DIM >= 3 and cli.MAX_TABLE >= 8
@@ -462,6 +499,51 @@ def test_size_caps_admit_benchmark_inputs():
         RadialFun.from_radial(RadialRational.u_power(cli.MAX_EXPONENT), 1)
     binomial = parse_expression("(q1 + p1)^%d" % cli.MAX_EXPONENT, "flat", 1)
     assert len(binomial.terms) == cli.MAX_EXPONENT + 1
+    # values at the scalar caps parse
+    digits = cli.MAX_MU_DIGITS
+    assert cli._fraction("-" + "9" * digits) == 1 - 10 ** digits
+    assert cli._fraction("-1e-%d" % (digits - 1)) == Fraction(-1, 10 ** (digits - 1))
+    literal = "9" * cli.MAX_DIGITS
+    assert parse_expression(literal, "flat", 1) == FlatPoly.constant(int(literal), 1)
+    # 2^63 has 64 bits, so its 64th power is estimated at MAX_BITS = 4096
+    assert parse_expression("(2^63)^64*q1", "flat", 1) == \
+        FlatPoly.q(1, 1).scale(2 ** 4032)
+    # every recorded, benchmark and README argv passes all caps
+    golden = [r["argv"] for r in json.loads((ROOT / "tests" / "cli_golden.json")
+                                            .read_text())]
+    for argv in golden + _benchmark_argvs(seeds=(0, 11, 47)) + _readme_argvs():
+        ns = cli.parse_plain(argv)
+        assert ns is not None, argv
+        if hasattr(ns, "f"):
+            mode = getattr(ns, "mode", "radial-linear")
+            parse_expression(ns.f, mode, ns.dim)
+            parse_expression(ns.g, mode, ns.dim)
+
+
+def _flat_factor(rng, pairs):
+    """A random polynomial in q1..q<pairs>, p1..p<pairs>, as text."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [str(rng.choice((-3, -2, -1, 1, 2, 3)))]
+        factors += ["%s%d^%d" % (letter, i, rng.randint(1, 2))
+                    for letter in "qp" for i in range(1, pairs + 1)
+                    if rng.random() < 0.6]
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flat_reduction_prints_the_moyal_product_one_dim_down(capsys, dim, seed):
+    # factors of the first n-1 pairs reduce across p_n = 0 to their Moyal
+    # product in n-1 pairs, and print the same lines
+    rng = Random(seed)
+    f, g = _flat_factor(rng, dim - 1), _flat_factor(rng, dim - 1)
+    options = ["--mode", "flat", "--order", "4", "--"]
+    reduced = _run(capsys, ["reduce", "--dim", str(dim)] + options + [f, g])
+    small = _run(capsys, ["star", "--dim", str(dim - 1)] + options + [f, g])
+    assert reduced[0] == 0 and reduced[1].count("\n") == 5
+    assert reduced == small
 
 
 def test_engine_import_loads_no_dataclasses_inspect_or_typing():
@@ -618,13 +700,13 @@ def _readme_argvs():
             if line.startswith("costar ")]
 
 
-def _benchmark_argvs():
+def _benchmark_argvs(seeds=(11, 47)):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return [op["argv"] for seed in (11, 47)
+    return [op["argv"] for seed in seeds
             for ops in (workloads.sphere_reduce_ops(seed),
                         workloads.coeff_tables_ops(seed))
             for op in ops]
@@ -632,7 +714,7 @@ def _benchmark_argvs():
 
 def test_benchmark_and_readme_argvs_take_the_table_path():
     readme = _readme_argvs()
-    assert len(readme) == 7
+    assert len(readme) == 14
     for argv in _benchmark_argvs() + readme:
         ns = cli.parse_plain(argv)
         assert ns is not None, argv

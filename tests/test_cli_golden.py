@@ -10,10 +10,12 @@ The argvs are every command-line op of the benchmark workloads at seed 0
 acceptance criterion 9; star and reduce in dim 1 in both radial modes;
 `coeffs` argvs that the level check refuses, and where the extents are
 reported first; factors that are prolonged but fail only on {J, f}, and
-an admissible flat pair in dim 3; and `verify --suite all --examples 1`
-and `--suite membership --examples 3`.  Help texts and
-argparse errors are left out: their wording differs between Python
-versions.
+an admissible flat pair in dim 3; the commands that reproduce the paper's
+examples (the two coefficient tables, the order-2 obstruction on three
+pairs, and the flat reduction beside the Moyal product in one dimension
+fewer); and `verify --suite all --examples 1` and `--suite membership
+--examples 3`.  Help texts and argparse errors are left out: their wording
+differs between Python versions.
 
 Regenerate the file, after a deliberate change of output, with
 
@@ -79,6 +81,22 @@ ADMISSIBILITY = (
 )
 
 
+# the paper's examples: both coefficient tables, the order-2 obstruction on
+# three pairs of degree-0 functions, and a flat reduction from dim 2, which
+# prints the Moyal product of the same factors in dim 1
+PAPER_EXAMPLES = (
+    ["coeffs", "--kind", "linear", "--kmax", "5", "--lmax", "6"],
+    ["coeffs", "--kind", "quadratic", "--kmax", "5", "--lmax", "6"],
+    ["obstruct", "--dim", "2", "--mu=-1/2", "--", "z1*zb2/u", "z2*zb1/u"],
+    ["obstruct", "--dim", "2", "--mu=-1/2", "--", "z1*zb1/u", "z1*zb2/u"],
+    ["obstruct", "--dim", "2", "--mu=-1/2", "--", "z2*zb2/u", "z2*zb1/u"],
+    ["reduce", "--mode", "flat", "--dim", "2", "--order", "3",
+     "q1*p1 + 2*q1^2", "p1^2 - q1"],
+    ["star", "--mode", "flat", "--dim", "1", "--order", "3",
+     "q1*p1 + 2*q1^2", "p1^2 - q1"],
+)
+
+
 def with_json(argv):
     """argv with --json in place of --tsv, or appended."""
     if "--json" in argv:
@@ -103,7 +121,8 @@ def golden_argvs():
         for op in workloads.WORKLOADS[name](0):
             if "argv" in op:
                 argvs.append(op["argv"])
-    argvs += [list(a) for a in CRITERION_9 + DIM_1 + MU_CHECK + ADMISSIBILITY]
+    argvs += [list(a) for a in (CRITERION_9 + DIM_1 + MU_CHECK + ADMISSIBILITY
+                                + PAPER_EXAMPLES)]
     argvs += [j for j in map(with_json, list(argvs)) if j is not None]
     argvs.append(["verify", "--suite", "all", "--examples", "1"])
     argvs.append(["verify", "--suite", "membership", "--examples", "3"])
