@@ -68,6 +68,7 @@ T_JET_STAR = "tests/test_sphere_jets.py::test_reduce_star_series_matches_generic
 T_JET_RING = "tests/test_sphere_jets.py::test_jets_are_a_ring_map_mod_t_n"
 T_IS_ZERO = "tests/test_sphere_jets.py::test_is_zero_matches_the_expansion"
 T_ROW = "tests/test_cpn.py::test_quadratic_row_takes_one_quotient_per_cell"
+T_OPERATOR = "tests/test_cpn.py::test_operator_table_matches_engine_normalization"
 T_TABLE = "tests/test_cli.py::test_table_parser_agrees_with_argparse"
 T_SCALAR_CAPS = "tests/test_cli.py::test_oversized_scalars_exit_2_at_once"
 # golden refusals of factors that are prolonged and fail only on {J, f}
@@ -153,16 +154,20 @@ MUTANTS = [
      [T_J_FLAT]),
     # forward substitution, shared by T and apply_inverse
     ("forward substitution adds for subtracts", REDUCTION,
-     "a = a - self.op(self.pres[m - k], k)",
-     "a = a + self.op(self.pres[m - k], k)",
+     "h = h - op(pres[m - k], k)",
+     "h = h + op(pres[m - k], k)",
+     [T_NEUMANN]),
+    ("forward substitution reads the quotient of the wrong order", REDUCTION,
+     "h = h - op(pres[m - k], k)",
+     "h = h - op(pres[k - 1], k)",
      [T_NEUMANN]),
     ("reduce_star_series skips apply_inverse", REDUCTION,
      "return s_inverse(prol_transfer_star(setup, s(fs), s(gs)))",
      "return prol_transfer_star(setup, s(fs), s(gs))",
      [T_INTERTWINER]),
     ("transfer run holds a copy of its input", REDUCTION,
-     "run.push(f)",
-     "run.push(f.scale(1))",
+     "chain((f,), repeat(setup.zero))",
+     "chain((f.scale(1),), repeat(setup.zero))",
      [T_RUNS]),
     # classical admissibility, i{J, f} = M_1(J, f) - M_1(f, J)
     ("admissibility adds M_1(f, J)", REDUCTION,
@@ -251,9 +256,13 @@ MUTANTS = [
      "return _quadratic_row(k, l + 2)[l + 1]",
      [T_CELLS]),
     ("quadratic rows off the unit sphere", CPN,
-     "constraint = RadialConstraint.quadratic(Fraction(-1, 2))",
-     "constraint = RadialConstraint.quadratic(Fraction(-1))",
+     "_operator_row(RadialConstraint.quadratic(Fraction(-1, 2)), 1, k, n)",
+     "_operator_row(RadialConstraint.quadratic(Fraction(-1)), 1, k, n)",
      [T_QUAD]),
+    ("operator table drops its scale a^(k+l)", CPN,
+     "return constraint.sphere_u ** (k + l) * _operator_row(",
+     "return 1 * _operator_row(",
+     [T_OPERATOR]),
     # prolongation, shared by the radial setups and their jets
     ("prolongation power off by one", RADIAL,
      "return RadialRational.u_power(-h).scale(",

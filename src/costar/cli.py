@@ -19,6 +19,7 @@ are emitted with sorted keys.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -947,7 +948,16 @@ def main(argv=None):
 
 
 def run():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: exit 141 (128 + SIGPIPE, as a
+        # shell reports it) with no traceback, and send stdout to devnull
+        # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,30 +1,29 @@
 """Closed forms for the reduced products on complex projective space.
 
 For the sphere constraints the transfer recursion can be resolved
-explicitly.  With the linear constraint the recursion collapses to powers
-of a single first-order kernel K, and the reduced product of homogeneous
-f, g takes the table form
+explicitly, into words in two letters P (weight 1) and R (weight 2):
+T_l is the sum of the words of weight l, and cell (k, l) of a table is
+a^{k+l} res(T_l(u^{-k})), a = -2*mu.  Splitting each word on its leftmost
+letter gives T_l = P T_{l-1} + R T_{l-2}, so _operator_row runs one pass
+h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0 and yields
+the first n cells of row k with 2n - 3 letter applications, where summing
+the Fibonacci-many words cell by cell costs exponentially many.  With the
+linear constraint R vanishes, T_l = K^l for the first-order kernel K = P,
+and the reduced product of homogeneous f, g takes the table form
 
-    f x g = sum_{k,l} (t/a)^{k+l} A(k,l) u^k M_k(f,g),     a = -2*mu,
+    f x g = sum_{k,l} (t/a)^{k+l} A(k,l) u^k M_k(f,g),
 
-where the integer table A(k,l) has three independent descriptions kept
-here side by side: a nested-sum recursion, a direct binomial formula and
-the operator definition a^{k+l} res(K^l(u^{-k})).  With the quadratic
-constraint the recursion resolves into words in two letters P (weight 1)
-and R (weight 2), giving an analogous rational table
-B(k,l) = a^{k+l} res(T_l(u^{-k})), T_l the sum of the words of weight l.
-Neither table depends on mu, so the quadratic rows are computed at
-mu = -1/2, where a = 1.
-Splitting each word on its leftmost letter gives T_l = P T_{l-1} + R T_{l-2},
-so one pass h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0
-yields the first n cells of row k with 2n - 3 letter applications, where
-summing the Fibonacci-many words cell by cell costs exponentially many.
-Three descriptions stay only as oracles: a_coeff_closed for a_coeff_sum
-(test_sum_matches_closed_formula, criterion 2, verify --suite tables),
-a_coeff_operator, the powers of the letter P = K, for a_coeff_engine
-(criterion 3, --suite tables), and pr_word_sum for the rows of
-_quadratic_row (--suite tables) and for T
-(test_word_sums_match_transfer_recursion, criterion 6, --suite prwords).
+with the integer table A(k,l) read off a nested-sum recursion
+(a_coeff_engine).  The quadratic constraint gives an analogous rational
+table B(k,l), read off the rows of _operator_row.  Neither table depends
+on mu, so the quadratic rows are computed once, at mu = -1/2, where a = 1.
+The other descriptions stay only as oracles: a_coeff_closed, a direct
+binomial formula, for a_coeff_sum (test_sum_matches_closed_formula,
+criterion 2, verify --suite tables), a_coeff_operator, the rows of
+_operator_row on the linear constraint, for a_coeff_engine (criterion 3,
+--suite tables), and pr_word_sum for the quadratic rows (--suite tables)
+and for T (test_word_sums_match_transfer_recursion, criterion 6,
+--suite prwords).
 At order two the antisymmetrized parts of the two reduced products differ
 by a multiple of u {f,g}, which makes them inequivalent deformations.
 obstruction_order2 computes the exact multiple; since T and prol are
@@ -92,17 +91,13 @@ def a_coeff_engine(k, l):
     return Fraction(2 ** l * a_coeff_sum(k, l))
 
 
-def _restricted_constant(f, constraint):
-    # the value on the sphere, read off the scale-invariant representative
-    # so that split monomial spellings of a constant are identified
-    p = prol(f, constraint)
-    c = scalar_ratio(p, RadialFun.one(f.dim))
+def _res(f, constraint):
+    # the real value on the sphere, read off the scale-invariant
+    # representative so that split monomial spellings of a constant are
+    # identified
+    c = scalar_ratio(prol(f, constraint), RadialFun.one(f.dim))
     if c is None:
         raise ValueError("the restriction is not constant on the sphere")
-    return c
-
-
-def _real(c):
     if c.im:
         raise ValueError("expected a real table value")
     return c.re
@@ -112,15 +107,10 @@ def a_coeff_operator(k, l, mu=Fraction(-1, 2), dim=1):
     """Linear table through the operator definition a^{k+l} res(K^l u^{-k}).
 
     K = -M_1(pi_J f, J) is the letter P of pr_letters; the higher kernels
-    against the linear J vanish, so the transfer operators are T_l = K^l."""
+    against the linear J vanish, so R does and the row of _operator_row
+    is res(T_l u^{-k}) = res(K^l u^{-k})."""
     constraint = RadialConstraint.linear(mu)
-    kernel = pr_letters(radial_setup(constraint, dim))[0]
-    f = RadialFun.u(dim, -k)
-    for _ in range(l):
-        f = kernel(f)
-    a = constraint.sphere_u
-    val = _real(_restricted_constant(f, constraint))
-    return a ** (k + l) * val
+    return constraint.sphere_u ** (k + l) * _operator_row(constraint, dim, k, l + 1)[l]
 
 
 def pr_letters(setup):
@@ -161,7 +151,7 @@ def pr_word_sum(setup, weight):
     rightmost letter acting first; equals the transfer operator T_weight.
 
     This is the definition of the quadratic rows, kept as the oracle that
-    the row recurrence of _quadratic_row is checked against."""
+    the row recurrence of _operator_row is checked against."""
     p, r = pr_letters(setup)
     letters = {1: p, 2: r}
 
@@ -177,24 +167,27 @@ def pr_word_sum(setup, weight):
     return apply
 
 
-@lru_cache(maxsize=256)
-def _quadratic_row(k, n):
-    # cells l = 0..n-1 of row k from h_l = R(h_{l-2}) + P(h_{l-1}),
+def _operator_row(constraint, dim, k, n):
+    # res(h_l) for l = 0..n-1, from h_l = R(h_{l-2}) + P(h_{l-1}),
     # h_0 = u^{-k}, h_{-1} = 0: the word sums T_l(u^{-k}) split on their
     # leftmost letter.  R(h_{l-2}) goes first, so it reuses the quotient
-    # that P(h_{l-2}) took in the step before, and each h takes one.  The
-    # cells do not depend on mu; at mu = -1/2 the sphere is u = a = 1, so
-    # a^{k+l} res(h_l) is res(h_l)
-    constraint = RadialConstraint.quadratic(Fraction(-1, 2))
-    p, r = pr_letters(radial_setup(constraint, 1))
+    # that P(h_{l-2}) took in the step before, and each h takes one
+    p, r = pr_letters(radial_setup(constraint, dim))
     row = []
-    before, h = None, RadialFun.u(1, -k)
+    before, h = None, RadialFun.u(dim, -k)
     for l in range(n):
-        row.append(_real(_restricted_constant(h, constraint)))
+        row.append(_res(h, constraint))
         if l + 1 < n:
             after = p(h) if before is None else r(before) + p(h)
             before, h = h, after
     return tuple(row)
+
+
+@lru_cache(maxsize=256)
+def _quadratic_row(k, n):
+    # the cells do not depend on mu; at mu = -1/2 the sphere is u = a = 1,
+    # so a^{k+l} res(h_l) is res(h_l)
+    return _operator_row(RadialConstraint.quadratic(Fraction(-1, 2)), 1, k, n)
 
 
 def b_coeff_engine(k, l):

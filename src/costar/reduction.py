@@ -31,7 +31,7 @@ Admissibility reads {J, f} off the kernels: M_1(J, f) - M_1(f, J) = i{J, f}.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .scalar import LambdaSeries, kernel_series
 from . import flatphase
@@ -165,43 +165,34 @@ class OperatorSeries:
         if self.ops[0] is not identity:
             raise ValueError("can only invert a series whose leading term is the identity")
         self._check_order(series)
-        run = _TransferRun(lambda h, k: self.ops[k](h), identity)
-        return LambdaSeries(tuple(map(run.push, series.coeffs)))
+        return LambdaSeries(tuple(_substitute(
+            lambda h, k: self.ops[k](h), identity, series.coeffs)))
 
 
-class _TransferRun:
-    """A forward substitution h = (1 + D)^{-1} a for
-    (D a)_m = sum_{k=1..m} op(pre(a_{m-k}), k), one order at a time.
+def _substitute(op, pre, coeffs):
+    """The forward substitution h = (1 + D)^{-1} a for
+    (D a)_m = sum_{k=1..m} op(pre(a_{m-k}), k), yielding
+    h_m = a_m - sum_{k=1..m} op(pre(h_{m-k}), k) one order at a time.
 
-    push(a_m) returns h_m = a_m - sum_{k=1..m} op(pre(h_{m-k}), k).
-    pre(h_{m-1}) is taken when a_m is pushed, so a run of n + 1 orders
-    makes n pre and n(n+1)/2 op calls.  T runs on (j_kernel, pij), one pij
-    per order where an apply_inverse of 1 + D would take one per kernel
-    call, and OperatorSeries.apply_inverse on (ops[k], identity).
+    pre(h_{m-1}) is taken after a_m is read, so n + 1 orders make n pre
+    and n(n+1)/2 op calls, and only the pre values are kept.  T runs on
+    (j_kernel, pij), one pij per order where an apply_inverse of 1 + D
+    would take one per kernel call, and OperatorSeries.apply_inverse on
+    (ops[k], identity).
     """
-
-    __slots__ = ("op", "pre", "h", "pres")
-
-    def __init__(self, op, pre):
-        self.op = op
-        self.pre = pre
-        self.h = []
-        self.pres = []
-
-    def push(self, a):
-        m = len(self.h)
+    pres = []
+    for m, a in enumerate(coeffs):
         if m:
-            self.pres.append(self.pre(self.h[-1]))
+            pres.append(pre(h))
+        h = a
         for k in range(1, m + 1):
-            a = a - self.op(self.pres[m - k], k)
-        self.h.append(a)
-        return a
+            h = h - op(pres[m - k], k)
+        yield h
 
 
 def transfer_series(setup, series):
     """The transfer image h = T(series), by forward substitution."""
-    run = _TransferRun(setup.j_kernel, setup.pij)
-    return LambdaSeries(tuple(map(run.push, series.coeffs)))
+    return LambdaSeries(tuple(_substitute(setup.j_kernel, setup.pij, series.coeffs)))
 
 
 def _prolonged_orders(setup, series):
@@ -217,9 +208,8 @@ def _prolonged_orders(setup, series):
 
 
 def _prolonged_run(setup, coeffs):
-    # prol(h_m) for h = T(coeffs), one push of the forward substitution per m
-    run = _TransferRun(setup.j_kernel, setup.pij)
-    return (setup.prol(run.push(a)) for a in coeffs)
+    # prol(h_m) for h = T(coeffs), one step of the forward substitution per m
+    return map(setup.prol, _substitute(setup.j_kernel, setup.pij, coeffs))
 
 
 def prol_transfer(setup, series):
@@ -236,20 +226,26 @@ def transfer_ops(setup, order):
     """T as an operator series: T_n(f) is component n of T(f, 0, ..., 0).
 
     All operators share one run of that substitution per input f, kept
-    for as long as the returned series lives, so apply at order n makes
-    sum_j (n-j)(n-j+1)/2 j_kernel and sum_j (n-j) pij calls.
+    with its outputs for as long as the returned series lives, so apply at
+    order n makes sum_j (n-j)(n-j+1)/2 j_kernel and sum_j (n-j) pij calls.
     """
     runs = {}
 
     def component(f, n):
-        run = runs.get(id(f))
-        if run is None:
-            # the run's h[0] is f itself, so id(f) is not reused while it lives
-            run = runs[id(f)] = _TransferRun(setup.j_kernel, setup.pij)
-            run.push(f)
-        while len(run.h) <= n:
-            run.push(setup.zero)
-        return run.h[n]
+        key = id(f)
+        if key not in runs:
+            # h_0 is f itself, so id(f) is not reused while the run lives
+            runs[key] = [], _substitute(setup.j_kernel, setup.pij,
+                                        chain((f,), repeat(setup.zero)))
+        h, run = runs[key]
+        try:
+            while len(h) <= n:
+                h.append(next(run))
+        except BaseException:
+            # a generator that raised is closed; the next call starts over
+            del runs[key]
+            raise
+        return h[n]
 
     return OperatorSeries((identity,) + tuple(
         (lambda f, n=n: component(f, n)) for n in range(1, order + 1)))

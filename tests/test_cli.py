@@ -560,6 +560,27 @@ def test_engine_import_loads_no_dataclasses_inspect_or_typing():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--kind", "linear", "--kmax", "4", "--lmax", "4"],
+    ["reduce", "--mode", "radial-quadratic", "--dim", "2", "--order", "3",
+     "--json", "z1*zb2/u", "z2*zb1/u"],
+])
+def test_closed_stdout_ends_quietly_with_141(argv):
+    # a reader that goes away before it reads, as `| head -c 0` would: the
+    # console entry point exits 141 (128 + SIGPIPE), not 1, which README
+    # gives to a failed verification suite, and writes nothing to stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "costar.cli"] + argv, env=env,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 # ---------------------------------------------------------------------------
 # the table parser against argparse
 

@@ -13,7 +13,8 @@ reported first; factors that are prolonged but fail only on {J, f}, and
 an admissible flat pair in dim 3; the commands that reproduce the paper's
 examples (the two coefficient tables, the order-2 obstruction on three
 pairs, and the flat reduction beside the Moyal product in one dimension
-fewer); and `verify --suite all --examples 1` and `--suite membership
+fewer); dim-1 products whose numerators and denominators in u have
+several terms, real and Gaussian, for the printer of polynomials; and `verify --suite all --examples 1` and `--suite membership
 --examples 3`.  Help texts and argparse errors are left out: their wording
 differs between Python versions.
 
@@ -97,6 +98,16 @@ PAPER_EXAMPLES = (
 )
 
 
+# numerators and denominators with several terms in u, real and Gaussian;
+# every other record prints monomials only
+MULTI_TERM = (
+    ["star", "--mode", "radial-linear", "--dim", "1", "--order", "1",
+     "1/(u+1)", "(u+2)/(u^2+1)"],
+    ["star", "--mode", "radial-linear", "--dim", "1", "--order", "1",
+     "I/(u + I)", "u"],
+)
+
+
 def with_json(argv):
     """argv with --json in place of --tsv, or appended."""
     if "--json" in argv:
@@ -122,7 +133,7 @@ def golden_argvs():
             if "argv" in op:
                 argvs.append(op["argv"])
     argvs += [list(a) for a in (CRITERION_9 + DIM_1 + MU_CHECK + ADMISSIBILITY
-                                + PAPER_EXAMPLES)]
+                                + PAPER_EXAMPLES + MULTI_TERM)]
     argvs += [j for j in map(with_json, list(argvs)) if j is not None]
     argvs.append(["verify", "--suite", "all", "--examples", "1"])
     argvs.append(["verify", "--suite", "membership", "--examples", "3"])

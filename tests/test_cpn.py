@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,41 @@ def test_table_product_matches_reduction(kind, mu):
     pairs = [(HOMOG[1], HOMOG[2]), (HOMOG[2], HOMOG[3]), (HOMOG[4], HOMOG[1])]
     for f, g in pairs:
         assert table_reduced_product(c, f, g, 4) == reduce_star(setup, f, g, 4)
+
+
+def sparse_degree_zero(rng, dim):
+    # a Gaussian constant plus at most three distinct generators z_i zbar_j / u
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    keys = rng.sample([(a, b) for a in units for b in units], rng.randint(1, 3))
+
+    def gaussian():
+        return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    return RadialFun(dim, [(((0,) * dim, (0,) * dim), RadialRational.u_power(0).scale(
+        gaussian()))] + [(key, RadialRational.u_power(-1).scale(gaussian())) for key in keys])
+
+
+@pytest.mark.parametrize("kind,mu,dim,order", [
+    ("linear", -HALF, 2, 8),
+    ("quadratic", -HALF, 2, 8),
+    ("linear", Fraction(-1), 3, 8),
+    ("quadratic", Fraction(-1), 3, 8),
+    ("linear", Fraction(-3, 2), 4, 8),
+    ("quadratic", Fraction(-3, 2), 4, 8),
+    ("linear", -HALF, 4, 6),
+    ("quadratic", Fraction(-1), 4, 6),
+    ("linear", Fraction(-3, 2), 2, 7),
+    ("quadratic", Fraction(-3, 2), 3, 7),
+])
+def test_table_product_matches_reduction_to_order_8(kind, mu, dim, order):
+    # the closed form reads its quadratic rows off _operator_row, and
+    # reduce_star runs the forward substitution on jets: the two agree on
+    # sparse degree-0 pairs in dims 2-4, up to order 8
+    rng = Random("%s %s %d %d" % (kind, mu, dim, order))
+    c = RadialConstraint(kind, mu)
+    setup = radial_setup(c, dim)
+    f, g = sparse_degree_zero(rng, dim), sparse_degree_zero(rng, dim)
+    assert table_reduced_product(c, f, g, order) == reduce_star(setup, f, g, order)
 
 
 def test_table_product_needs_homogeneous_inputs():

@@ -551,6 +551,19 @@ def test_transfer_ops_runs_outlive_their_inputs(setup):
         gc.unfreeze()
 
 
+def test_transfer_ops_raise_again_after_an_error():
+    # pij of an odd input raises; a second call on the same input raises
+    # the same error again, not a leftover of the failed run
+    setup = radial_setup(RadialConstraint.linear(-HALF), 2)
+    ops = transfer_ops(setup, 2).ops
+    f = RadialFun.z(1, 2)
+    for op in (ops[1], ops[1], ops[2]):
+        with pytest.raises(ParityError):
+            op(f)
+    g = RadialFun.z(1, 2) * RadialFun.zbar(2, 2)
+    assert ops[2](g) == transfer_series(setup, setup.as_series(g, 2))[2]
+
+
 @pytest.mark.parametrize("setup", setups(), ids=lambda s: s.label)
 def test_star_elements_call_counts(setup):
     # f * g at order n needs M_0..M_n once each, and no kernel of a zero
