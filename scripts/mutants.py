@@ -44,6 +44,8 @@ T_WICK = "tests/test_radialphase.py::test_wick_kernel_matches_uncapped_sum"
 T_MIRROR = "tests/test_radialphase.py::test_zbar_operations_mirror_z"
 T_DERIV = "tests/test_radialphase.py::test_derivatives"
 T_PROL = "tests/test_radialphase.py::test_prol_examples"
+T_PIJ = "tests/test_radialphase.py::test_pij_examples"
+T_DECOMPOSITION = "tests/test_radialphase.py::test_decomposition_identity"
 T_RING = "tests/test_flatphase.py::test_ring_ops"
 T_STAR_CALLS = "tests/test_reduction.py::test_star_elements_call_counts"
 T_NEUMANN = "tests/test_reduction.py::test_operator_series_inversion_neumann"
@@ -77,6 +79,10 @@ T_REFUSALS = ["tests/test_cli_golden.py::test_cli_output_is_golden[%s]" % argv f
     "reduce --mode radial-quadratic --dim 2 --order 2 -- 1 zb1^2/u",
     "reduce --mode flat --dim 2 --order 2 q1 q2",
     "obstruct --dim 2 -- z1^2/u z2*zb1/u")]
+# golden output of the paper's three order-2 obstructions
+T_GOLDEN_OBSTRUCT = [
+    "tests/test_cli_golden.py::test_cli_output_is_golden[obstruct --dim 2 --mu=-1/2 -- %s]"
+    % pair for pair in ("z1*zb2/u z2*zb1/u", "z1*zb1/u z1*zb2/u", "z2*zb2/u z2*zb1/u")]
 
 # (name, file under src/, source text, mutated text, tests that must fail)
 MUTANTS = [
@@ -268,6 +274,10 @@ MUTANTS = [
      "return RadialRational.u_power(-h).scale(",
      "return RadialRational.u_power(1 - h).scale(",
      [T_PROL]),
+    ("pij divides f, not f - prol f", RADIAL,
+     "g = f - prol(f, constraint)",
+     "g = f",
+     [T_PIJ, T_DECOMPOSITION]),
     # the order-2 obstruction from one Wick commutator
     ("obstruct commutator adds for subtracts", CPN,
      "comm = wick_product(f, g, 2) - wick_product(g, f, 2)",
@@ -281,6 +291,10 @@ MUTANTS = [
      "return prol_transfer(setup, comm)[2]",
      "return prol_transfer(setup, comm)[1]",
      [T_OBSTRUCT]),
+    ("obstruct's bracket read off comm[2]", CPN,
+     "rhs = (RadialFun.u(f.dim) * comm[1])",
+     "rhs = (RadialFun.u(f.dim) * comm[2])",
+     [T_OBSTRUCT] + T_GOLDEN_OBSTRUCT),
     # prol(T(series)) on Taylor jets at the sphere: the generic loops on the
     # jet setup, and the lengths, conversions and maps of SphereJets and Jet.
     # A fault in the shared loops reaches the jets and the generic path

@@ -42,7 +42,6 @@ from .radialphase import (
     RadialConstraint,
     RadialFun,
     is_homogeneous,
-    poisson,
     prol,
     scalar_ratio,
     wick_kernel,
@@ -54,7 +53,7 @@ from .reduction import (
     radial_setup,
     require_admissible,
 )
-from .scalar import I, LambdaSeries, RadialRational
+from .scalar import LambdaSeries, RadialRational
 
 
 def a_coeff_sum(k, l):
@@ -98,8 +97,6 @@ def _res(f, constraint):
     c = scalar_ratio(prol(f, constraint), RadialFun.one(f.dim))
     if c is None:
         raise ValueError("the restriction is not constant on the sphere")
-    if c.im:
-        raise ValueError("expected a real table value")
     return c.re
 
 
@@ -252,9 +249,11 @@ def obstruction_order2(f, g, mu):
     f x g = prol(T(f * g)) with T and prol linear, so for each constraint
     (f x g - g x f)_2 = prol(T(f * g - g * f))_2: the Wick commutator is
     built once and transferred once per constraint, and
-    lhs = prol(T(f*g - g*f))_2 - prol(T~(f*g - g*f))_2.  Both factors must
-    be admissible, checked in the order reduce_star would check them (left
-    then right).  Classical admissibility reads only the sphere: on it
+    lhs = prol(T(f*g - g*f))_2 - prol(T~(f*g - g*f))_2.  The commutator's
+    order-1 coefficient M_1(f, g) - M_1(g, f) is i {f, g}, so rhs is
+    u (f*g - g*f)_1 / (2 a^2), with no bracket of its own.  Both factors
+    must be admissible, checked in the order reduce_star would check them
+    (left then right).  Classical admissibility reads only the sphere: on it
     {J(u), f} = J'(u) {u, f} with J'(-2 mu) != 0 (RadialConstraint), so
     the check against the quadratic constraint serves the linear one too.
     """
@@ -269,5 +268,5 @@ def obstruction_order2(f, g, mu):
         return prol_transfer(setup, comm)[2]
 
     lhs = second(quad) - second(lin)
-    rhs = (RadialFun.u(f.dim) * poisson(f, g)).scale(I * Fraction(1, 2) / a ** 2)
+    rhs = (RadialFun.u(f.dim) * comm[1]).scale(Fraction(1, 2) / a ** 2)
     return lhs, rhs, scalar_ratio(lhs, rhs)

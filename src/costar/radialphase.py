@@ -30,7 +30,6 @@ from .scalar import (
     GaussianRational,
     I,
     Jet,
-    PoleError,
     RadialRational,
     TermRing,
     UPoly,
@@ -309,13 +308,9 @@ class RadialConstraint:
         self.mu = Fraction(mu)
         if self.mu >= 0:
             raise ValueError("mu must be negative")
-        # the value of u on the constraint sphere
-        a = self.sphere_u = -2 * self.mu
-        j = self.j_radial()
-        if not j.eval(a).is_zero():
-            raise ValueError("constraint does not vanish on the sphere")
-        if j.derivative().eval(a).is_zero():
-            raise ValueError("sphere is not a regular zero of the constraint")
+        # the value of u on the constraint sphere, a simple zero of
+        # J = -(u - a)/2 and of J = (u - a)(u + a)/4, since a > 0
+        self.sphere_u = -2 * self.mu
 
     @staticmethod
     def linear(mu):
@@ -378,22 +373,14 @@ def prol(f, constraint):
 def pij(f, constraint):
     """Exact difference quotient (f - prol f) / J.
 
-    The per-term radial numerator vanishes on the sphere, so the quotient
-    stays pole-free there; a residual pole would mean the prolongation and
-    the constraint disagree, which is reported rather than simplified away.
+    The quotient has no pole on the sphere u = a: each term of f - prol f
+    has the radial part R(u) - R(a) (a/u)^h, which vanishes at a (prol
+    raises the PoleError of a pole of R there first), and a is a simple
+    zero of J.
     """
     g = f - prol(f, constraint)
     j = constraint.j_radial()
-    a = constraint.sphere_u
-    out = {}
-    for key, r in g.terms.items():
-        q = r / j
-        if q.den.eval(a).is_zero():
-            raise PoleError(
-                "difference quotient left a pole at u = %s" % (a,)
-            )
-        out[key] = q
-    return RadialFun._of_terms(f.dim, out)
+    return RadialFun._of_terms(f.dim, {key: r / j for key, r in g.terms.items()})
 
 
 @cache
@@ -510,16 +497,14 @@ class SphereJets:
         self.order, self.a = order, constraint.sphere_u
         top = 2 * order + 1
         self.fun = _jet_fun(self.a, top)
-        jet = self.fun._coefficients
-        self.parts = [jet(p.num.shifted(self.a, top), top) for p in parts]
-        # J(a + t) = parts[0], exact at deg J + 1 coefficients, and given at
-        # least 2, so that pij(J) = 1 keeps a coefficient at order 0
-        j = parts[0].num.shifted(self.a, len(parts))
-        n = max(top, 2)
-        self.j = self.fun.from_radial(jet(j.truncated(n), n), dim)
+        self.parts = [self.jet(p, top) for p in parts]
+        # J(a + t) = parts[0], given at least 2 coefficients, so that
+        # pij(J) = 1 keeps a coefficient at order 0
+        j = self.jet(parts[0], max(top, 2))
+        self.j = self.fun.from_radial(j, dim)
         self.prolongations = {}
         # t/J(a + t) to top coefficients: J has the simple zero t = 0
-        self.quotient = _inverse(j.exact_div(UPoly.u(1)), top)
+        self.quotient = _inverse(j.p.exact_div(UPoly.u(1)), top)
 
     def jet(self, r, n):
         """The Jet of the RadialRational r to n coefficients, num(a + t)

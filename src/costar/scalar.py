@@ -1055,11 +1055,10 @@ class RadialRational:
             return RadialRational(self.num + other.num, self.den)
         g = self.den.gcd(other.den)
         if g.degree() == 0:
-            # coprime denominators: the sum is already reduced
-            num = self.num * other.den + other.num * self.den
-            if num.is_zero():
-                return RadialRational(UPoly())
-            return RadialRational._raw(num, self.den * other.den)
+            # coprime denominators: the sum is already reduced, and not zero,
+            # as a/d1 = -b/d2 in lowest terms would give d1 = d2 = 1
+            return RadialRational._raw(self.num * other.den + other.num * self.den,
+                                       self.den * other.den)
         rden = other.den.exact_div(g)
         return RadialRational(
             self.num * rden + other.num * self.den.exact_div(g), self.den * rden

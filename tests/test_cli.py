@@ -760,3 +760,14 @@ def test_cli_import_and_plain_command_load_no_argparse():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n1\t-2\n[]\n['argparse', 'gettext', 'locale']\n"
     assert "invalid int value: 'x'" in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--mode", "flat", "--dim", "1", "--order", "1", "(q1", "q1"],
+     "parse error: expected ')' (at position 3)"),
+    (["star", "--mode", "flat", "--dim", "0", "q1", "q1"], "error: dim must be at least 1"),
+    (["star", "--mode", "flat", "--dim", "1", "--order=-1", "q1", "q1"],
+     "error: order must be nonnegative"),
+], ids=["unclosed parenthesis", "dim 0", "negative order"])
+def test_reachable_input_checks_exit_2(capsys, argv, message):
+    assert _run(capsys, argv) == (2, "", "costar: %s\n" % message)

@@ -439,3 +439,13 @@ def test_admissibility_does_not_depend_on_the_constraint(f):
     lin, quad = (radial_setup(RadialConstraint(kind, SPHERE_MU), f.dim)
                  for kind in ("linear", "quadratic"))
     assert admissibility(lin, f) == admissibility(quad, f)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: a_coeff_closed(1, -1), "table indices must be nonnegative"),
+    (lambda: coefficient_table("linear", 0, 3), "table extents must be positive"),
+    (lambda: coefficient_table("quadratic", 3, 0), "table extents must be positive"),
+], ids=["closed form column", "no rows", "no columns"])
+def test_reachable_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,7 @@ from costar.flatphase import (
     moyal_kernel,
     moyal_product,
     pij,
+    pn_kernel,
     poisson,
     prol,
 )
@@ -331,3 +333,17 @@ def test_moyal_kernel_against_constraint_takes_no_derivative(monkeypatch):
     # the counter does see the partials that M_1 takes
     assert not moyal_kernel(f, FlatPoly.p(dim, dim), 1).is_zero()
     assert calls
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FlatPoly(2, {(1, 0, 0): 1}), "bad exponent vector (1, 0, 0) for dim 2"),
+    (lambda: FlatPoly(1, {(1, -1): 1}), "bad exponent vector (1, -1) for dim 1"),
+    (lambda: FlatPoly.q(0, 2), "q index out of range"),
+    (lambda: FlatPoly.p(3, 2), "p index out of range"),
+    (lambda: FlatPoly.q(1, 2).partial(4), "coordinate index out of range"),
+    (lambda: pn_kernel(FlatPoly.q(1, 2), -1), "kernel order must be nonnegative"),
+], ids=["short key", "negative exponent", "q index", "p index", "partial index",
+        "pn_kernel order"])
+def test_reachable_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

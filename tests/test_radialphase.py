@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -9,6 +10,7 @@ from costar.radialphase import (
     ParityError,
     RadialConstraint,
     RadialFun,
+    constraint_kernel,
     is_homogeneous,
     pij,
     poisson,
@@ -44,6 +46,13 @@ def radial_rationals():
     dens = st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any)
     return st.builds(lambda cs, ds: RadialRational(UPoly(cs), UPoly(ds)),
                      st.lists(st.integers(-2, 2), max_size=3), dens)
+
+
+def sphere_regular_rationals():
+    # denominators with no zero at u > 0, so none on a sphere u = -2*mu
+    dens = st.sampled_from([(1,), (0, 1), (0, 0, 1), (1, 2, 1), (1, 1, 1)])
+    return st.builds(lambda cs, ds: RadialRational(UPoly(cs), UPoly(ds)),
+                     st.lists(gauss(), max_size=3), dens)
 
 
 EVEN_KEYS_2 = [
@@ -262,7 +271,13 @@ def test_wick_kernel_matches_uncapped_sum(fg, r):
     assert wick_kernel(f, g, r) == _uncapped_wick(f, g, r)
 
 
-def test_constraint_validation():
+@given(st.builds(Fraction, st.integers(-10 ** 6, -1), st.integers(1, 10 ** 6)))
+def test_constraint_validation(mu):
+    # the sphere is a simple zero of J for every negative mu
+    for kind in ("linear", "quadratic"):
+        j = RadialConstraint(kind, mu).j_radial()
+        assert j.eval(-2 * mu).is_zero()
+        assert not j.derivative().eval(-2 * mu).is_zero()
     c = RadialConstraint.linear(-HALF)
     assert c.sphere_u == 1
     assert c.j_radial().eval(1).is_zero()
@@ -326,11 +341,16 @@ def test_pij_examples():
     assert prol(pij(u * u, quad), quad) == RadialFun.constant(4, 2)
 
 
-@given(funs(EVEN_KEYS_2), st.sampled_from([Fraction(-1, 2), Fraction(-3, 2)]),
+@settings(max_examples=200)
+@given(funs(EVEN_KEYS_2, radials=sphere_regular_rationals),
+       st.sampled_from([Fraction(-1, 2), Fraction(-3, 2)]),
        st.sampled_from(["linear", "quadratic"]))
 def test_decomposition_identity(f, mu, kind):
     c = RadialConstraint(kind, mu)
-    assert prol(f, c) + pij(f, c) * c.j(2) == f
+    q = pij(f, c)
+    # the quotient has no pole on the sphere
+    assert all(r.den.eval(c.sphere_u) for r in q.terms.values())
+    assert prol(f, c) + q * c.j(2) == f
     assert prol(prol(f, c), c) == prol(f, c)
     assert prol(f - prol(f, c), c).is_zero()
 
@@ -367,3 +387,17 @@ def test_scalar_ratio():
     assert scalar_ratio(f, f + RadialFun.one(2)) is None
     assert scalar_ratio(f, RadialFun.zero(2)) is None
     assert scalar_ratio(RadialFun.zero(2), f) == GaussianRational(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RadialFun(2, [(((1,), (1,)), 1)]), "exponent tuples must have length 2"),
+    (lambda: RadialFun(2, [(((-1, 0), (1, 0)), 1)]), "negative monomial exponent"),
+    (lambda: RadialFun.z(0, 2), "z index out of range"),
+    (lambda: RadialFun.zbar(3, 2), "zbar index out of range"),
+    (lambda: constraint_kernel(RadialConstraint.linear(-HALF).kernel_parts())(
+        RadialFun.u(2), -1), "kernel order must be nonnegative"),
+], ids=["tuple length", "negative exponent", "z index", "zbar index",
+        "j_kernel order"])
+def test_reachable_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()

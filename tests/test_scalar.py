@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -513,9 +514,15 @@ factored_fractions = st.builds(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=4, max_size=4))
 
 
+# powers of factors that share no root with those of factored_fractions
+coprime_denominators = st.builds(
+    lambda k, m: UPoly((5, 1)) ** k * UPoly((2, 0, 1)) ** m,
+    st.integers(0, 2), st.integers(0, 2))
+
+
 @settings(max_examples=200)
-@given(factored_fractions, nonzero_gauss_polys)
-def test_radial_rational_matches_full_gcd_reference(fraction, h):
+@given(factored_fractions, nonzero_gauss_polys, gauss_polys, coprime_denominators)
+def test_radial_rational_matches_full_gcd_reference(fraction, h, num2, den2):
     num, den = fraction
     r = RadialRational(num, den)
     assert (r.num, r.den) == _reference_radial(num, den)
@@ -523,6 +530,15 @@ def test_radial_rational_matches_full_gcd_reference(fraction, h):
     s = RadialRational(num * h, den * h)
     assert (s.num, s.den) == (r.num, r.den)
     assert s == r and hash(s) == hash(r)
+    # a sum over coprime denominators: reduced as it stands, and zero only
+    # when both terms are, unless both denominators are 1
+    q = RadialRational(num2, den2)
+    for x, y in ((r, q), (q, r)):
+        total = x + y
+        assert (total.num, total.den) == _reference_radial(
+            x.num * y.den + y.num * x.den, x.den * y.den)
+        if x.den != y.den:
+            assert bool(total) == bool(x or y)
 
 
 @given(radial_rationals())
@@ -594,3 +610,34 @@ def test_lambda_series_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a - b == a + (-b)
     assert (a - a).coeffs == (GaussianRational(0),) * 3
+
+
+def _q1():
+    return parse_expression("q1", "flat", 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GaussianRational(1.5), TypeError, "cannot interpret 1.5 as an exact rational"),
+    (lambda: scalar.pairing_kernel(_q1(), _q1(), -1, (), (), 1), ValueError,
+     "kernel order must be nonnegative"),
+    (lambda: GaussianRational(2) ** 0.5, TypeError, "exponent must be an integer"),
+    (lambda: UPoly().lead(), ValueError, "zero polynomial has no leading coefficient"),
+    (lambda: UPoly.u(1) ** -1, TypeError,
+     "polynomial exponent must be a nonnegative integer"),
+    (lambda: RadialRational.u_power(1) / 0, ZeroDivisionError,
+     "division by the zero rational function"),
+    (lambda: 1 / RadialRational(UPoly()), ZeroDivisionError,
+     "division by the zero rational function"),
+    (lambda: RadialRational.u_power(1) ** 0.5, TypeError, "exponent must be an integer"),
+    (lambda: LambdaSeries(()), ValueError, "a series needs at least the order-0 coefficient"),
+    (lambda: LambdaSeries((_q1(),)) + 1, AlgebraMismatchError,
+     "expected a LambdaSeries, got 1"),
+    (lambda: scalar.kernel_series(scalar.pairing_kernel, _q1(), _q1(), -1), ValueError,
+     "truncation order must be nonnegative"),
+], ids=["float gaussian", "pairing_kernel order", "gaussian float power",
+        "zero lead", "negative upoly power", "truediv by zero", "rtruediv by zero",
+        "radial float power", "empty series", "series and scalar",
+        "kernel_series order"])
+def test_reachable_input_checks_raise(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
