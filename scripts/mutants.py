@@ -262,8 +262,12 @@ MUTANTS = [
      "return _quadratic_row(k, l + 2)[l + 1]",
      [T_CELLS]),
     ("quadratic rows off the unit sphere", CPN,
-     "_operator_row(RadialConstraint.quadratic(Fraction(-1, 2)), 1, k, n)",
-     "_operator_row(RadialConstraint.quadratic(Fraction(-1)), 1, k, n)",
+     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)",
+     "RadialConstraint.quadratic(Fraction(-1)), 1).jets(n - 1)",
+     [T_QUAD]),
+    ("quadratic rows on jets one order short", CPN,
+     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)",
+     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 2)",
      [T_QUAD]),
     ("operator table drops its scale a^(k+l)", CPN,
      "return constraint.sphere_u ** (k + l) * _operator_row(",
@@ -278,22 +282,26 @@ MUTANTS = [
      "g = f - prol(f, constraint)",
      "g = f",
      [T_PIJ, T_DECOMPOSITION]),
-    # the order-2 obstruction from one Wick commutator
+    # the order-2 obstruction from the order-1 Wick commutator
     ("obstruct commutator adds for subtracts", CPN,
-     "comm = wick_product(f, g, 2) - wick_product(g, f, 2)",
-     "comm = wick_product(f, g, 2) + wick_product(g, f, 2)",
+     "c1 = quad.kernel(f, g, 1) - quad.kernel(g, f, 1)",
+     "c1 = quad.kernel(f, g, 1) + quad.kernel(g, f, 1)",
      [T_OBSTRUCT]),
     ("obstruct transfers against lin twice", CPN,
      "lhs = second(quad) - second(lin)",
      "lhs = second(lin) - second(lin)",
      [T_OBSTRUCT]),
-    ("obstruct reads order 1 of the transfer", CPN,
-     "return prol_transfer(setup, comm)[2]",
-     "return prol_transfer(setup, comm)[1]",
+    ("obstruct's h_2 takes M_2 of pi_J c1 for M_1", CPN,
+     "return -setup.prol(setup.j_kernel(setup.pij(c1), 1))",
+     "return -setup.prol(setup.j_kernel(setup.pij(c1), 2))",
      [T_OBSTRUCT]),
-    ("obstruct's bracket read off comm[2]", CPN,
-     "rhs = (RadialFun.u(f.dim) * comm[1])",
-     "rhs = (RadialFun.u(f.dim) * comm[2])",
+    ("obstruct's h_2 adds M_1(pi_J c1, J) for subtracts", CPN,
+     "return -setup.prol(setup.j_kernel(setup.pij(c1), 1))",
+     "return setup.prol(setup.j_kernel(setup.pij(c1), 1))",
+     [T_OBSTRUCT] + T_GOLDEN_OBSTRUCT),
+    ("obstruct's bracket drops its factor u", CPN,
+     "rhs = (RadialFun.u(f.dim) * c1)",
+     "rhs = (RadialFun.one(f.dim) * c1)",
      [T_OBSTRUCT] + T_GOLDEN_OBSTRUCT),
     # prol(T(series)) on Taylor jets at the sphere: the generic loops on the
     # jet setup, and the lengths, conversions and maps of SphereJets and Jet.

@@ -4,7 +4,7 @@ For the sphere constraints the transfer recursion can be resolved
 explicitly, into words in two letters P (weight 1) and R (weight 2):
 T_l is the sum of the words of weight l, and cell (k, l) of a table is
 a^{k+l} res(T_l(u^{-k})), a = -2*mu.  Splitting each word on its leftmost
-letter gives T_l = P T_{l-1} + R T_{l-2}, so _operator_row runs one pass
+letter gives T_l = P T_{l-1} + R T_{l-2}, so _letter_pass runs one pass
 h_l = P(h_{l-1}) + R(h_{l-2}) from h_0 = u^{-k}, h_{-1} = 0 and yields
 the first n cells of row k with 2n - 3 letter applications, where summing
 the Fibonacci-many words cell by cell costs exponentially many.  With the
@@ -15,21 +15,29 @@ and the reduced product of homogeneous f, g takes the table form
 
 with the integer table A(k,l) read off a nested-sum recursion
 (a_coeff_engine).  The quadratic constraint gives an analogous rational
-table B(k,l), read off the rows of _operator_row.  Neither table depends
-on mu, so the quadratic rows are computed once, at mu = -1/2, where a = 1.
+table B(k,l), read off the rows of _quadratic_row.  Neither table depends
+on mu, so the quadratic rows are computed once, at mu = -1/2, where a = 1,
+and in dim 1 on the Taylor jets at the sphere that a transfer runs on,
+since res reads only the value there.
 The other descriptions stay only as oracles: a_coeff_closed, a direct
 binomial formula, for a_coeff_sum (test_sum_matches_closed_formula,
-criterion 2, verify --suite tables), a_coeff_operator, the rows of
-_operator_row on the linear constraint, for a_coeff_engine (criterion 3,
---suite tables), and pr_word_sum for the quadratic rows (--suite tables)
-and for T (test_word_sums_match_transfer_recursion, criterion 6,
---suite prwords).
+criterion 2, verify --suite tables), a_coeff_operator, the pass of
+_operator_row in RadialRational arithmetic on the linear constraint, for
+a_coeff_engine (criterion 3, --suite tables), _operator_row on the
+quadratic constraint for the jet rows
+(test_quadratic_rows_on_jets_match_the_operator_rows), and pr_word_sum
+for the quadratic rows (--suite tables) and for T
+(test_word_sums_match_transfer_recursion, criterion 6, --suite prwords).
 At order two the antisymmetrized parts of the two reduced products differ
 by a multiple of u {f,g}, which makes them inequivalent deformations.
-obstruction_order2 computes the exact multiple; since T and prol are
-linear, it needs only the commutator f*g - g*f of the Wick products,
-transferred once per constraint.  Admissibility does not depend on J, only
-on the sphere, so its factors are checked once.
+obstruction_order2 computes the exact multiple.  Since T and prol are
+linear, it needs only the commutator comm = f*g - g*f of the Wick
+products; comm_0 = 0, so T(comm)_2 = comm_2 - M_1(pi_J c1, J) for the
+order-1 part c1, and prol(comm_2), which reads only the sphere, cancels
+between the two constraints.  So the difference takes one pi_J and one
+order-1 kernel against J per constraint, and no transfer.  Admissibility
+does not depend on J, only on the sphere, so its factors are checked
+once.
 """
 
 from __future__ import annotations
@@ -45,11 +53,9 @@ from .radialphase import (
     prol,
     scalar_ratio,
     wick_kernel,
-    wick_product,
 )
 from .reduction import (
     MembershipError,
-    prol_transfer,
     radial_setup,
     require_admissible,
 )
@@ -148,7 +154,7 @@ def pr_word_sum(setup, weight):
     rightmost letter acting first; equals the transfer operator T_weight.
 
     This is the definition of the quadratic rows, kept as the oracle that
-    the row recurrence of _operator_row is checked against."""
+    the row recurrence of _letter_pass is checked against."""
     p, r = pr_letters(setup)
     letters = {1: p, 2: r}
 
@@ -164,27 +170,44 @@ def pr_word_sum(setup, weight):
     return apply
 
 
-def _operator_row(constraint, dim, k, n):
-    # res(h_l) for l = 0..n-1, from h_l = R(h_{l-2}) + P(h_{l-1}),
-    # h_0 = u^{-k}, h_{-1} = 0: the word sums T_l(u^{-k}) split on their
-    # leftmost letter.  R(h_{l-2}) goes first, so it reuses the quotient
-    # that P(h_{l-2}) took in the step before, and each h takes one
-    p, r = pr_letters(radial_setup(constraint, dim))
-    row = []
-    before, h = None, RadialFun.u(dim, -k)
+def _letter_pass(letters, h, n):
+    # h_0 .. h_{n-1} from h_l = R(h_{l-2}) + P(h_{l-1}), h_{-1} = 0: the
+    # word sums T_l(h_0) split on their leftmost letter.  R(h_{l-2}) goes
+    # first, so it reuses the quotient that P(h_{l-2}) took in the step
+    # before, and each h takes one
+    p, r = letters
+    before = None
     for l in range(n):
-        row.append(_res(h, constraint))
+        yield h
         if l + 1 < n:
             after = p(h) if before is None else r(before) + p(h)
             before, h = h, after
-    return tuple(row)
+
+
+def _operator_row(constraint, dim, k, n):
+    # res(h_l) for l = 0..n-1 from h_0 = u^{-k}, in RadialRational
+    # arithmetic: the linear table's operator definition, and on the
+    # quadratic constraint the oracle of _quadratic_row
+    letters = pr_letters(radial_setup(constraint, dim))
+    return tuple(_res(h, constraint)
+                 for h in _letter_pass(letters, RadialFun.u(dim, -k), n))
 
 
 @lru_cache(maxsize=256)
 def _quadratic_row(k, n):
-    # the cells do not depend on mu; at mu = -1/2 the sphere is u = a = 1,
-    # so a^{k+l} res(h_l) is res(h_l)
-    return _operator_row(RadialConstraint.quadratic(Fraction(-1, 2)), 1, k, n)
+    # _operator_row of the quadratic constraint in dim 1, on the Taylor jets
+    # at the sphere that a transfer to order n - 1 runs on (SphereJets): h_l
+    # keeps the coefficients that res(h_l) reads.  The cells do not depend
+    # on mu; at mu = -1/2 the sphere is u = a = 1, so a^{k+l} res(h_l) is
+    # res(h_l), coefficient 0 of the jet of h_l's one radial term
+    jets, convert = radial_setup(
+        RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)
+    radial = ((0,), (0,))
+    row = []
+    for h in _letter_pass(pr_letters(jets), convert(RadialFun.u(1, -k), 0), n):
+        c = h.terms.get(radial)
+        row.append(c.eval(c.a).re if c else Fraction(0))
+    return tuple(row)
 
 
 def b_coeff_engine(k, l):
@@ -247,26 +270,30 @@ def obstruction_order2(f, g, mu):
     reduced symplectic form is what makes the two products inequivalent.
 
     f x g = prol(T(f * g)) with T and prol linear, so for each constraint
-    (f x g - g x f)_2 = prol(T(f * g - g * f))_2: the Wick commutator is
-    built once and transferred once per constraint, and
-    lhs = prol(T(f*g - g*f))_2 - prol(T~(f*g - g*f))_2.  The commutator's
-    order-1 coefficient M_1(f, g) - M_1(g, f) is i {f, g}, so rhs is
-    u (f*g - g*f)_1 / (2 a^2), with no bracket of its own.  Both factors
-    must be admissible, checked in the order reduce_star would check them
-    (left then right).  Classical admissibility reads only the sphere: on it
-    {J(u), f} = J'(u) {u, f} with J'(-2 mu) != 0 (RadialConstraint), so
-    the check against the quadratic constraint serves the linear one too.
+    (f x g - g x f)_2 = prol(T(comm))_2 for the Wick commutator
+    comm = f*g - g*f.  comm_0 = fg - gf = 0, so the forward substitution
+    of T gives h_0 = 0, h_1 = c1 = M_1(f, g) - M_1(g, f) and
+    h_2 = comm_2 - M_1(pi_J c1, J).  prol reads only the sphere, so
+    prol(comm_2) is the same for both constraints and cancels:
+    lhs = prol(M_1(pi_J~ c1, J~)) - prol(M_1(pi_J c1, J)), with no order-2
+    kernel and no transfer.  c1 is i {f, g}, so rhs is u c1 / (2 a^2).
+    Both factors must be admissible, checked in the order reduce_star would
+    check them (left then right).  Classical admissibility reads only the
+    sphere: on it {J(u), f} = J'(u) {u, f} with J'(-2 mu) != 0
+    (RadialConstraint), so the check against the quadratic constraint
+    serves the linear one too.
     """
     quadratic = RadialConstraint.quadratic(mu)
     lin = radial_setup(RadialConstraint.linear(mu), f.dim)
     quad = radial_setup(quadratic, f.dim)
     a = quadratic.sphere_u
     require_admissible(quad, f, g)
-    comm = wick_product(f, g, 2) - wick_product(g, f, 2)
+    c1 = quad.kernel(f, g, 1) - quad.kernel(g, f, 1)
 
     def second(setup):
-        return prol_transfer(setup, comm)[2]
+        # prol(h_2) of T(comm) on the setup, less prol(comm_2)
+        return -setup.prol(setup.j_kernel(setup.pij(c1), 1))
 
     lhs = second(quad) - second(lin)
-    rhs = (RadialFun.u(f.dim) * comm[1]).scale(Fraction(1, 2) / a ** 2)
+    rhs = (RadialFun.u(f.dim) * c1).scale(Fraction(1, 2) / a ** 2)
     return lhs, rhs, scalar_ratio(lhs, rhs)

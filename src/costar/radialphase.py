@@ -299,7 +299,7 @@ def is_homogeneous(f):
 class RadialConstraint:
     """Radial constraint J(u) with regular zero on the sphere u = -2*mu."""
 
-    __slots__ = ("kind", "mu", "sphere_u")
+    __slots__ = ("kind", "mu", "sphere_u", "_j")
 
     def __init__(self, kind, mu):
         if kind not in ("linear", "quadratic"):
@@ -311,6 +311,11 @@ class RadialConstraint:
         # the value of u on the constraint sphere, a simple zero of
         # J = -(u - a)/2 and of J = (u - a)(u + a)/4, since a > 0
         self.sphere_u = -2 * self.mu
+        # J(u), built once: pij divides by it on every call
+        if kind == "linear":
+            self._j = RadialRational(UPoly((-self.mu, Fraction(-1, 2))))
+        else:
+            self._j = RadialRational(UPoly((-self.mu ** 2, 0, Fraction(1, 4))))
 
     @staticmethod
     def linear(mu):
@@ -321,9 +326,7 @@ class RadialConstraint:
         return RadialConstraint("quadratic", mu)
 
     def j_radial(self):
-        if self.kind == "linear":
-            return RadialRational(UPoly((-self.mu, Fraction(-1, 2))))
-        return RadialRational(UPoly((-self.mu ** 2, 0, Fraction(1, 4))))
+        return self._j
 
     def j(self, dim):
         return RadialFun.from_radial(self.j_radial(), dim)

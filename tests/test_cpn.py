@@ -25,10 +25,12 @@ from costar.radialphase import (
     poisson,
     prol,
     scalar_ratio,
+    wick_product,
 )
 from costar.reduction import (
     MembershipError,
     is_in_b_cap_f,
+    prol_transfer,
     radial_setup,
     reduce_star,
     transfer_ops,
@@ -167,21 +169,33 @@ def test_quadratic_table_letter_calls_are_linear_in_lmax(monkeypatch):
 
 
 def test_quadratic_row_takes_one_quotient_per_cell(monkeypatch):
-    # R(h_{l-2}) reuses the quotient that P(h_{l-2}) took, so the 6 cells
-    # h_0..h_5 of a row take the quotients of h_0..h_4 and the one that
-    # PhaseSetup checks pi_J(J) = 1 with: 6 pij calls, not 5 + 4 + 1
+    # the rows run on the jet setup, whose pij is SphereJets.pij.  R(h_{l-2})
+    # reuses the quotient that P(h_{l-2}) took, so the 6 cells h_0..h_5 of
+    # a row take the quotients of h_0..h_4 and the one that PhaseSetup
+    # checks pi_J(J) = 1 with: 6 pij calls, not 5 + 4 + 1
     calls = []
-    pij = radialphase.pij
+    pij = radialphase.SphereJets.pij
 
-    def counted(f, constraint):
+    def counted(sphere, f):
         calls.append(f)
-        return pij(f, constraint)
+        return pij(sphere, f)
 
-    monkeypatch.setattr(radialphase, "pij", counted)
+    monkeypatch.setattr(radialphase.SphereJets, "pij", counted)
     row = cpn._quadratic_row.__wrapped__(3, 6)
     assert len(calls) == 6
     monkeypatch.undo()
     assert list(row) == [word_sum_cell(3, l, Fraction(-1, 2)) for l in range(6)]
+
+
+def test_quadratic_rows_on_jets_match_the_operator_rows():
+    # the jet rows against the same pass in RadialRational arithmetic, for
+    # every row k <= 16 and every length n <= 16, since the jets' length
+    # follows n
+    quadratic = RadialConstraint.quadratic(-HALF)
+    for k in range(17):
+        want = cpn._operator_row(quadratic, 1, k, 16)
+        for n in range(1, 17):
+            assert cpn._quadratic_row.__wrapped__(k, n) == want[:n]
 
 
 def test_coefficient_table_layout():
@@ -267,9 +281,9 @@ def sparse_degree_zero(rng, dim):
     ("quadratic", Fraction(-3, 2), 3, 7),
 ])
 def test_table_product_matches_reduction_to_order_8(kind, mu, dim, order):
-    # the closed form reads its quadratic rows off _operator_row, and
-    # reduce_star runs the forward substitution on jets: the two agree on
-    # sparse degree-0 pairs in dims 2-4, up to order 8
+    # the closed form reads its quadratic rows off _quadratic_row, the letter
+    # pass on dim-1 jets, and reduce_star runs the forward substitution on
+    # jets in dims 2-4: the two agree on sparse degree-0 pairs, up to order 8
     rng = Random("%s %s %d %d" % (kind, mu, dim, order))
     c = RadialConstraint(kind, mu)
     setup = radial_setup(c, dim)
@@ -339,18 +353,36 @@ def test_obstruction_matches_four_reduced_products(fg, mu):
     assert ratio == scalar_ratio(want, want_rhs)
 
 
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda dim: st.tuples(degree_zero_funs(dim), degree_zero_funs(dim))),
+       st.sampled_from([-HALF, Fraction(-1), Fraction(-3, 2), Fraction(-7, 3)]))
+def test_obstruction_lhs_is_the_commutator_transfer(fg, mu):
+    # the definition lhs = prol(T(comm))_2 - prol(T~(comm))_2, where comm is
+    # the order-2 Wick commutator; obstruction_order2 reads it off the
+    # order-1 commutator alone, as comm_0 = 0 and prol(comm_2) cancels
+    f, g = fg
+    lin = radial_setup(RadialConstraint.linear(mu), f.dim)
+    quad = radial_setup(RadialConstraint.quadratic(mu), f.dim)
+    comm = wick_product(f, g, 2) - wick_product(g, f, 2)
+    assert not comm[0].terms
+    want = prol_transfer(quad, comm)[2] - prol_transfer(lin, comm)[2]
+    lhs, _, _ = obstruction_order2(f, g, mu)
+    assert lhs.terms == want.terms
+
+
 def test_obstruction_call_counts(monkeypatch):
     # admissibility's M_1(J, x) and M_1(x, J) on both factors against the
-    # quadratic constraint, one Wick commutator, M_0..M_2 on each side, and
-    # one order-2 transfer per constraint on its jet setup (PhaseSetup.jets):
-    # the closed counts of an order-2 forward substitution there, 2 pij and
-    # 3 j_kernel calls, and no other call of the radial setup's j_kernel or
-    # pij after the checks of its constructor
+    # quadratic constraint, then the order-1 commutator c1 from two order-1
+    # Wick kernels, and one pij and one order-1 j_kernel per constraint for
+    # prol(M_1(pi_J c1, J)): no order-2 kernel, no jet setup and no
+    # transfer, and no other call of a setup's j_kernel or pij after the
+    # checks of its constructor
     calls = Counter()
     wick, setup_of = radialphase.wick_kernel, cpn.radial_setup
 
     def counted_wick(f, g, r):
-        calls["wick_kernel", type(f).__name__] += 1
+        calls["wick_kernel", type(f).__name__, r] += 1
         return wick(f, g, r)
 
     def counted_setup(constraint, dim):
@@ -358,21 +390,14 @@ def test_obstruction_call_counts(monkeypatch):
         kind = constraint.kind
 
         def counted(name, fn):
-            def wrapper(*args):
-                calls[kind, name] += 1
-                return fn(*args)
+            def wrapper(x, *order):
+                calls[(kind, name) + order] += 1
+                return fn(x, *order)
             return wrapper
-
-        def counted_jets(order, jets=setup.jets):
-            calls[kind, "jets", order] += 1
-            jet_setup, convert = jets(order)
-            jet_setup.j_kernel = counted("jet j_kernel", jet_setup.j_kernel)
-            jet_setup.pij = counted("jet pij", jet_setup.pij)
-            return jet_setup, convert
 
         setup.j_kernel = counted("j_kernel", setup.j_kernel)
         setup.pij = counted("pij", setup.pij)
-        setup.jets = counted_jets
+        setup.jets = counted("jets", setup.jets)
         return setup
 
     monkeypatch.setattr(radialphase, "wick_kernel", counted_wick)
@@ -380,10 +405,9 @@ def test_obstruction_call_counts(monkeypatch):
     _, _, ratio = obstruction_order2(HOMOG[2], HOMOG[3], -HALF)
     assert ratio == GaussianRational(-2)
     assert calls == Counter({
-        ("wick_kernel", "RadialFun"): 8, ("quadratic", "j_kernel"): 2,
-        ("linear", "jets", 2): 1, ("quadratic", "jets", 2): 1,
-        ("linear", "jet pij"): 2, ("quadratic", "jet pij"): 2,
-        ("linear", "jet j_kernel"): 3, ("quadratic", "jet j_kernel"): 3,
+        ("wick_kernel", "RadialFun", 1): 4, ("quadratic", "j_kernel", 1): 3,
+        ("linear", "j_kernel", 1): 1,
+        ("linear", "pij"): 1, ("quadratic", "pij"): 1,
     })
 
 
