@@ -3,9 +3,11 @@
 
 Copies src/ to a temporary directory, applies one mutant from MUTANTS at
 a time to the copy, and runs the tests named for that mutant against it.
-A mutant is killed when those tests fail.  Prints one line per mutant and
-then the survivors; exits 1 when a mutant survives or no longer applies
-(its source text is gone or no longer unique), and 0 otherwise.
+A mutant is killed when those tests fail.  Prints one line per mutant,
+with its seconds, and then the survivors and the run's wall time, so that
+a log shows how much of a time budget the run takes; exits 1 when a
+mutant survives or no longer applies (its source text is gone or no
+longer unique), and 0 otherwise.
 
     python3 scripts/mutants.py
 
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -72,6 +75,10 @@ T_IS_ZERO = "tests/test_sphere_jets.py::test_is_zero_matches_the_expansion"
 T_ROW = "tests/test_cpn.py::test_quadratic_row_takes_one_quotient_per_cell"
 T_OPERATOR = "tests/test_cpn.py::test_operator_table_matches_engine_normalization"
 T_TABLE = "tests/test_cli.py::test_table_parser_agrees_with_argparse"
+T_SHIFTED = "tests/test_scalar.py::test_shifted_matches_the_taylor_formula"
+T_PROLONGED_JET = "tests/test_sphere_jets.py::test_prolonged_jet_is_the_jet_of_a_over_u_to_the_h"
+# its quadratic cases: on the linear constraint J(a + t) has no t^2 term
+T_QUOTIENT = "tests/test_sphere_jets.py::test_quotient_inverts_j_over_t"
 T_SCALAR_CAPS = "tests/test_cli.py::test_oversized_scalars_exit_2_at_once"
 # golden refusals of factors that are prolonged and fail only on {J, f}
 T_REFUSALS = ["tests/test_cli_golden.py::test_cli_output_is_golden[%s]" % argv for argv in (
@@ -262,12 +269,12 @@ MUTANTS = [
      "return _quadratic_row(k, l + 2)[l + 1]",
      [T_CELLS]),
     ("quadratic rows off the unit sphere", CPN,
-     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)",
-     "RadialConstraint.quadratic(Fraction(-1)), 1).jets(n - 1)",
+     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(order)",
+     "RadialConstraint.quadratic(Fraction(-1)), 1).jets(order)",
      [T_QUAD]),
     ("quadratic rows on jets one order short", CPN,
-     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)",
-     "RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 2)",
+     "jets, convert = _quadratic_jets(n - 1)",
+     "jets, convert = _quadratic_jets(n - 2)",
      [T_QUAD]),
     ("operator table drops its scale a^(k+l)", CPN,
      "return constraint.sphere_u ** (k + l) * _operator_row(",
@@ -316,9 +323,22 @@ MUTANTS = [
      "UPoly((0, 1))",
      [T_JETS]),
     ("jet pij drops the (a/u)^h factor of x(0)", RADIAL,
-     "p = p - self.prolonged(h, n).scale(c0)",
-     "p = p - self.prolonged(0, n).scale(c0)",
+     "p = p - prolonged_jet(self.a, h, n).scale(c0)",
+     "p = p - prolonged_jet(self.a, 0, n).scale(c0)",
      [T_JETS]),
+    # the closed series of the jets: (a/u)^h, t/J and the Taylor shift
+    ("binomial series drops its sign", RADIAL,
+     "Fraction(comb(h + j - 1, j), (-a) ** j)",
+     "Fraction(comb(h + j - 1, j), a ** j)",
+     [T_PROLONGED_JET, T_JETS]),
+    ("geometric ratio takes +b1", RADIAL,
+     "UPoly([(-b1) ** k / b0 ** (k + 1) for k in range(top)])",
+     "UPoly([b1 ** k / b0 ** (k + 1) for k in range(top)])",
+     [T_QUOTIENT, T_QUAD]),
+    ("Horner steps by x - u", SCALAR,
+     "out, step = UPoly(), UPoly((x, 1))",
+     "out, step = UPoly(), UPoly((x, -1))",
+     [T_SHIFTED, T_JET_RING]),
     ("Euler step shift off by one", RADIAL,
      "e = sum(key[side]) - s\n",
      "e = sum(key[side]) - s - 1\n",
@@ -424,7 +444,14 @@ def judge(tmp, pristine, n, mutant):
         shutil.rmtree(src)
 
 
+def timed(call, *args):
+    """(call(*args), the seconds it took)."""
+    start = time.monotonic()
+    return call(*args), time.monotonic() - start
+
+
 def main():
+    start = time.monotonic()
     survivors = []
     with tempfile.TemporaryDirectory(prefix="costar-mutants-") as tmp:
         pristine = Path(tmp) / "pristine"
@@ -440,17 +467,18 @@ def main():
                 print("the named tests fail on the unmutated source; nothing to measure")
                 return 2
             # map yields the verdicts in the order of MUTANTS
-            verdicts = pool.map(lambda job: judge(tmp, pristine, *job),
+            verdicts = pool.map(lambda job: timed(judge, tmp, pristine, *job),
                                 enumerate(MUTANTS))
-            for (name, *_), verdict in zip(MUTANTS, verdicts):
-                print("%-8s %s" % (verdict, name), flush=True)
+            for (name, *_), (verdict, seconds) in zip(MUTANTS, verdicts):
+                print("%-8s %5.1f s  %s" % (verdict, seconds, name), flush=True)
                 if verdict != "killed":
                     survivors.append(name)
+    wall = "in %.0f s wall time" % (time.monotonic() - start)
     if survivors:
-        print("%d of %d mutants not killed: %s"
-              % (len(survivors), len(MUTANTS), "; ".join(survivors)))
+        print("%d of %d mutants not killed %s: %s"
+              % (len(survivors), len(MUTANTS), wall, "; ".join(survivors)))
         return 1
-    print("all %d mutants killed" % len(MUTANTS))
+    print("all %d mutants killed %s" % (len(MUTANTS), wall))
     return 0
 
 

@@ -193,6 +193,12 @@ def _operator_row(constraint, dim, k, n):
                  for h in _letter_pass(letters, RadialFun.u(dim, -k), n))
 
 
+@lru_cache(maxsize=32)
+def _quadratic_jets(order):
+    # _quadratic_row's jet setup and conversion, one per row length
+    return radial_setup(RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(order)
+
+
 @lru_cache(maxsize=256)
 def _quadratic_row(k, n):
     # _operator_row of the quadratic constraint in dim 1, on the Taylor jets
@@ -200,8 +206,7 @@ def _quadratic_row(k, n):
     # keeps the coefficients that res(h_l) reads.  The cells do not depend
     # on mu; at mu = -1/2 the sphere is u = a = 1, so a^{k+l} res(h_l) is
     # res(h_l), coefficient 0 of the jet of h_l's one radial term
-    jets, convert = radial_setup(
-        RadialConstraint.quadratic(Fraction(-1, 2)), 1).jets(n - 1)
+    jets, convert = _quadratic_jets(n - 1)
     radial = ((0,), (0,))
     row = []
     for h in _letter_pass(pr_letters(jets), convert(RadialFun.u(1, -k), 0), n):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from operator import add, methodcaller, sub
 
 from .scalar import (
@@ -355,6 +355,13 @@ def prolonged(a, h):
     return RadialRational.u_power(-h).scale(GaussianRational.of(a ** h))
 
 
+@cache
+def prolonged_jet(a, h, n):
+    # the jet of (a/u)^h at u = a + t to n >= 1 coefficients, the binomial
+    # series (1 + t/a)^-h = sum_j (-1)^j C(h + j - 1, j) a^-j t^j (1 for h = 0)
+    return UPoly([1] + [Fraction(comb(h + j - 1, j), (-a) ** j) for j in range(1, n)])
+
+
 def prol(f, constraint):
     """Prolongation: pull the restriction of f back along z -> sqrt(a/u) z.
 
@@ -470,9 +477,7 @@ def _inverse(d, n):
     d = d.coeffs
     inv = [1 / d[0]]
     for k in range(1, n):
-        acc = ZERO
-        for i in range(1, min(k, len(d) - 1) + 1):
-            acc = acc + d[i] * inv[k - i]
+        acc = sum((d[i] * inv[k - i] for i in range(1, min(k, len(d) - 1) + 1)), ZERO)
         inv.append(-acc * inv[0])
     return UPoly(inv)
 
@@ -490,10 +495,11 @@ class SphereJets:
     pij, for the jet PhaseSetup of reduction.radial_setup, whose prol is
     the prol above.  convert(f, m) gives the order-m coefficient
     2(n - m) + 1 coefficients, its deficit 2m (README, "Jets at the
-    sphere").
+    sphere").  The two series that pij reads are closed: the jets of
+    (a/u)^h are binomial (prolonged_jet), and t/J is geometric.
     """
 
-    __slots__ = ("order", "a", "fun", "j", "parts", "quotient", "prolongations")
+    __slots__ = ("order", "a", "fun", "j", "parts", "quotient")
 
     def __init__(self, constraint, parts, dim, order):
         # parts: constraint.kernel_parts(), which are polynomials in u
@@ -505,9 +511,10 @@ class SphereJets:
         # pij(J) = 1 keeps a coefficient at order 0
         j = self.jet(parts[0], max(top, 2))
         self.j = self.fun.from_radial(j, dim)
-        self.prolongations = {}
-        # t/J(a + t) to top coefficients: J has the simple zero t = 0
-        self.quotient = _inverse(j.p.exact_div(UPoly.u(1)), top)
+        # t/J(a + t) to top coefficients, for J(a + t) = b0 t + b1 t^2 with
+        # b0 != 0 (b1 = 0 on the linear constraint): sum_k (-b1)^k/b0^(k+1) t^k
+        b0, b1 = (j.p.coeffs + (ZERO,))[1:3]
+        self.quotient = UPoly([(-b1) ** k / b0 ** (k + 1) for k in range(top)])
 
     def jet(self, r, n):
         """The Jet of the RadialRational r to n coefficients, num(a + t)
@@ -531,13 +538,6 @@ class SphereJets:
                 out[key] = c
         return self.fun._of_terms(f.dim, out)
 
-    def prolonged(self, h, n):
-        # the jet of (a/u)^h to n coefficients
-        out = self.prolongations.get((h, n))
-        if out is None:
-            out = self.prolongations[(h, n)] = self.jet(prolonged(self.a, h), n).p
-        return out
-
     def pij(self, x):
         # (c - c(0) (a/u)^h) / t times t/J on each term: one coefficient less
         out = {}
@@ -547,7 +547,7 @@ class SphereJets:
             p, n, c0 = c.p, c.n, c.eval(self.a)
             if c0:
                 h = (sum(key[Z]) + sum(key[ZBAR])) // 2
-                p = p - self.prolonged(h, n).scale(c0)
+                p = p - prolonged_jet(self.a, h, n).scale(c0)
             p = p.exact_div(t)
             if p:
                 out[key] = jet(p.jet_mul(self.quotient, n - 1), n - 1)

@@ -856,27 +856,12 @@ class UPoly:
         return _over(re, im, 1, 1, re[-1], 0 if im is None else im[-1])
 
     def shifted(self, x, n):
-        """self(x + u) mod u**n for a rational x: the first n Taylor
-        coefficients of self at x.
-
-        Horner on the numerators, homogenised in the denominator d of
-        x = c/d: from B = 0, B = B * (c + d*u) + n_k * d**(deg-k) for k
-        from deg down to 0 gives B = d**deg * den * self(x + u)."""
-        re, im = self._re, self._im
-        if not re or n <= 0:
-            return _reduced([], None, 1, 1)
-        x = _as_fraction(x)
-        c, d = x.numerator, x.denominator
-        sides = [(re, [])] if im is None else [(re, []), (im, [])]
-        p = 1
-        for k in range(len(re) - 1, -1, -1):
-            for coeffs, b in sides:
-                # b * (c + d*u): coefficient j is c*b[j] + d*b[j-1]
-                b[:] = [c * y + d * z for y, z in zip(b + [0], [0] + b)][:n]
-                b[0] += coeffs[k] * p
-            p *= d
-        den = self._den * p // d
-        return _reduced(sides[0][1], None if im is None else sides[1][1], den, den)
+        """self(x + u) mod u**n for a rational x and n >= 0: the first n
+        Taylor coefficients of self at x, by Horner in x + u."""
+        out, step = UPoly(), UPoly((x, 1))
+        for c in reversed(self.coeffs):
+            out = (out * step + c).truncated(n)
+        return out
 
     def truncated(self, n):
         """self mod u**n: the coefficients of u**0 .. u**(n-1)."""

@@ -171,8 +171,9 @@ def test_quadratic_table_letter_calls_are_linear_in_lmax(monkeypatch):
 def test_quadratic_row_takes_one_quotient_per_cell(monkeypatch):
     # the rows run on the jet setup, whose pij is SphereJets.pij.  R(h_{l-2})
     # reuses the quotient that P(h_{l-2}) took, so the 6 cells h_0..h_5 of
-    # a row take the quotients of h_0..h_4 and the one that PhaseSetup
-    # checks pi_J(J) = 1 with: 6 pij calls, not 5 + 4 + 1
+    # a row take the quotients of h_0..h_4: 5 pij calls, not 5 + 4.  The
+    # jet setup is built once per row length, and the one that builds it
+    # also checks pi_J(J) = 1 with a sixth
     calls = []
     pij = radialphase.SphereJets.pij
 
@@ -181,10 +182,16 @@ def test_quadratic_row_takes_one_quotient_per_cell(monkeypatch):
         return pij(sphere, f)
 
     monkeypatch.setattr(radialphase.SphereJets, "pij", counted)
+    cpn._quadratic_jets.cache_clear()
     row = cpn._quadratic_row.__wrapped__(3, 6)
     assert len(calls) == 6
+    del calls[:]
+    warm = cpn._quadratic_row.__wrapped__(4, 6)
+    assert len(calls) == 5
     monkeypatch.undo()
+    cpn._quadratic_jets.cache_clear()  # drop the setup that holds counted
     assert list(row) == [word_sum_cell(3, l, Fraction(-1, 2)) for l in range(6)]
+    assert warm == cpn._operator_row(RadialConstraint.quadratic(-HALF), 1, 4, 6)
 
 
 def test_quadratic_rows_on_jets_match_the_operator_rows():

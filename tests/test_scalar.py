@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,6 +431,17 @@ def test_negative_power_of_u():
     # RadialRational keeps its own negative powers
     assert RadialRational.u_power(-2) == RadialRational(UPoly.of(1), UPoly.u(2))
     assert RadialRational.u_power(-2) * RadialRational.u_power(2) == 1
+
+
+@settings(max_examples=200)
+@given(reference_polys, st.one_of(wide_fractions, small_fractions), st.integers(0, 12))
+def test_shifted_matches_the_taylor_formula(p, x, n):
+    # coefficient k of p(x + u) is p^(k)(x) / k!, for real and Gaussian p
+    taylor, d = [], p
+    for k in range(n):
+        taylor.append(d.eval(x) / factorial(k))
+        d = d.derivative()
+    _same(p.shifted(x, n), _RefUPoly(taylor))
 
 
 @settings(max_examples=200)

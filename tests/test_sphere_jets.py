@@ -333,6 +333,38 @@ def test_jets_are_a_ring_map_mod_t_n(case):
     assert x.eval(jets.a) == r.eval(jets.a)
 
 
+CLOSED_MUS = [Fraction(-1, 2), Fraction(-1), Fraction(-3, 2), Fraction(-7, 3),
+              Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("mu", CLOSED_MUS)
+def test_prolonged_jet_is_the_jet_of_a_over_u_to_the_h(mu):
+    # the binomial series of (a/u)^h against the general conversion of the
+    # RadialRational, which factors still take; every h <= 8 and n <= 17
+    constraint = RadialConstraint.linear(mu)
+    jets, a = SphereJets(constraint, constraint.kernel_parts(), 1, 8), constraint.sphere_u
+    for h in range(9):
+        for n in range(1, 18):
+            assert radialphase.prolonged_jet(a, h, n) == jets.jet(
+                radialphase.prolonged(a, h), n).p
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("mu", CLOSED_MUS)
+def test_quotient_inverts_j_over_t(kind, mu):
+    # t/J to top coefficients: times J(a + t)/t, spelled here by powers of
+    # a + t, it is 1 mod t^top, for every order up to 8
+    constraint = RadialConstraint(kind, mu)
+    at = UPoly((constraint.sphere_u, 1))
+    j = sum((at ** k).scale(c) for k, c in enumerate(constraint.j_radial().num.coeffs))
+    j_over_t = j.exact_div(UPoly.u(1))
+    for order in range(9):
+        jets = SphereJets(constraint, constraint.kernel_parts(), 1, order)
+        top = 2 * order + 1
+        assert jets.quotient.degree() < top
+        assert (jets.quotient * j_over_t).truncated(top) == 1
+
+
 def prolonged(dim):
     # prol-shaped: c z^alpha zbar^beta u^-h with |alpha| + |beta| = 2h
     return st.lists(st.tuples(st.sampled_from(keys(dim, 0) + keys(dim, 2) + keys(dim, 4)),
