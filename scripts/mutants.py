@@ -360,14 +360,18 @@ MUTANTS = [
      "n = min(n, other.n)",
      "n = max(n, other.n)",
      [T_JET_RING]),
-    # RadialFun.is_zero on integer cells
+    # the Horner normal form of RadialFun on integer cells (_class_cells)
     ("integer cells drop the imaginary part", RADIAL,
-     "y = im[k - shift] if im is not None else 0",
-     "y = 0",
+     "(im_parts, im or ())",
+     "(im_parts, ())",
      [T_IS_ZERO]),
     ("power-of-u shift off by one", RADIAL,
-     "nums = [(r.num, top - r.den.degree()) for _, r in terms]",
-     "nums = [(r.num, top - r.den.degree() - 1) for _, r in terms]",
+     "(r.num, top - len(re)) for",
+     "(r.num, top - len(re) - 1) for",
+     [T_IS_ZERO]),
+    ("Horner raises alpha by the wrong unit vector", RADIAL,
+     "key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]",
+     "key = (alpha[0] + 1,) + alpha[1:]",
      [T_IS_ZERO]),
     # the table parser of the command line against argparse
     ("table parser takes a separate value that starts with -", CLI,

@@ -13,17 +13,21 @@ z -> sqrt(-2 mu / u) z), and the exact difference quotient against J.
 
 The stored term representation is not unique for dim >= 2 (u may appear
 either as a radial factor or expanded into monomials).  Equality therefore
-goes through a normal form: numerators are expanded into plain monomials
-over a common denominator in u, where coefficients are comparable.  For
-dim == 1 the single pair z^1 zbar^1 is rewritten into u on construction,
-which already makes the stored form canonical.
+goes through a normal form, one per class alpha - beta (_class_cells): the
+numerators go over a common denominator in u and one integer, and a Horner
+pass in u expands them into plain monomials with integer cells, where
+coefficients are comparable.  is_zero reads those cells, and expansion()
+turns them into scalars for scalar_ratio.  For dim == 1 the single pair
+z^1 zbar^1 is rewritten into u on construction, which already makes the
+stored form canonical.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial, gcd
+from functools import cache, reduce
+from math import comb, factorial, lcm
 from operator import add, methodcaller, sub
 
 from .scalar import (
@@ -33,9 +37,7 @@ from .scalar import (
     RadialRational,
     TermRing,
     UPoly,
-    _compositions,
     _merge,
-    _multi_factorial,
     kernel_series,
     pairing_kernel,
 )
@@ -184,20 +186,15 @@ class RadialFun(TermRing):
         Numerator u-powers are expanded into plain monomials, so cells maps
         (gamma, delta) to scalar coefficients; den stays a polynomial in u.
         A given den must be a common multiple of the term denominators.
+        Each class alpha - beta is expanded on its own (_class_cells).
         """
         den = self.common_denominator() if den is None else den
         cells = {}
-        for (alpha, beta), r in self.terms.items():
-            num = r.num * den.exact_div(r.den)
-            for k, c in enumerate(num.coeffs):
-                if c.is_zero():
-                    continue
-                for s in _compositions(k, self.dim):
-                    key = (
-                        tuple(x + y for x, y in zip(alpha, s)),
-                        tuple(x + y for x, y in zip(beta, s)),
-                    )
-                    _merge(cells, key, c * (factorial(k) // _multi_factorial(s)))
+        for delta, terms in _classes(self).items():
+            d, class_cells = _class_cells(terms, den)
+            for alpha, (re, im) in class_cells.items():
+                beta = tuple(map(sub, alpha, delta))
+                cells[alpha, beta] = GaussianRational._make(re, im, d)
         return den, cells
 
     def is_zero(self):
@@ -209,14 +206,12 @@ class RadialFun(TermRing):
         of one stored term is nonzero: its cells with |s| = k carry the
         coefficient of u^k in the numerator of R.  So only the classes of
         two or more terms are decided, smallest first, up to the first
-        nonzero one, each on integer cells (_class_is_zero).
+        nonzero one, each by the cells of its normal form (_class_cells).
         """
-        classes = {}
-        for key, r in self.terms.items():
-            classes.setdefault(tuple(map(sub, *key)), []).append((key, r))
+        classes = _classes(self)
         if any(len(terms) == 1 for terms in classes.values()):
             return False
-        return all(_class_is_zero(terms, self.dim)
+        return all(not _class_cells(terms)[1]
                    for terms in sorted(classes.values(), key=len))
 
     def __eq__(self, other):
@@ -225,65 +220,74 @@ class RadialFun(TermRing):
         return (self - other).is_zero() if eq is False else eq
 
 
-@cache
-def _multinomials(k, dim):
-    # (s, k!/s!) over the s with |s| = k: u^k = sum_s (k!/s!) z^s zbar^s
-    return tuple((s, factorial(k) // _multi_factorial(s))
-                 for s in _compositions(k, dim))
+def _classes(f):
+    # the (key, RadialRational) pairs of f by their class alpha - beta
+    classes = {}
+    for key, r in f.terms.items():
+        classes.setdefault(tuple(map(sub, *key)), []).append((key, r))
+    return classes
 
 
-def _class_is_zero(terms, dim):
-    """True iff the (key, RadialRational) pairs of one class alpha - beta
-    sum to zero, decided as expansion decides it, on integer cells.
+def _class_cells(terms, den=None):
+    """The normal form (d, cells) of the (key, RadialRational) pairs of one
+    class delta = alpha - beta: they sum to the sum over the cells
+    alpha -> (re, im) of (re + I*im)/(d den(u)) z^alpha zbar^(alpha - delta).
 
-    The numerators are brought over one denominator D(u) and one integer
-    d, so that term i reads (re_i + I*im_i)(u) / (d D(u)) with integer
-    lists re_i and im_i; then u^k of term (alpha, beta) adds (k!/s!) times
-    its integer pair to the cell alpha + s for each |s| = k, and the class
-    is zero iff every cell is.  Where every denominator is a power of u,
-    as on every output of prol, D = u^top and numerator i is only shifted
-    by top - deg den_i.
+    The numerators go over den, given or else the lcm of the term
+    denominators, and over the one integer d; where every denominator is
+    a power of u, as on every output of prol, den is the highest of them
+    and each numerator is only shifted by the difference of the degrees.
+    Grouped by their power e of u into P_e keyed by alpha, the integer
+    parts are expanded by Horner (_horner).
     """
-    dens = [r.den for _, r in terms]
+    dens = [r.den.integers() for _, r in terms]
     # a monic denominator is u^deg iff it is real with no lower coefficient
-    if all(im is None and not any(re[:-1])
-           for re, im, _ in map(UPoly.integers, dens)):
-        top = max(map(UPoly.degree, dens))
-        nums = [(r.num, top - r.den.degree()) for _, r in terms]
+    if den is None and all(im is None and not any(re[:-1]) for re, im, _ in dens):
+        top = max(len(re) for re, _, _ in dens)
+        nums = [(r.num, top - len(re)) for (_, r), (re, _, _) in zip(terms, dens)]
     else:
-        den = UPoly.of(1)
-        for d in dens:
-            den = den.lcm(d)
+        den = reduce(UPoly.lcm, (r.den for _, r in terms)) if den is None else den
         nums = [(r.num * den.exact_div(r.den), 0) for _, r in terms]
     nums = [(num.integers(), shift) for num, shift in nums]
-    d = 1
-    for (_, _, den), _ in nums:
-        d = d * den // gcd(d, den)
-    re_cells, im_cells = {}, {}
-    for ((alpha, _), _), ((re, im, den), shift) in zip(terms, nums):
-        m = d // den
-        for k, x in enumerate(re, shift):
-            y = im[k - shift] if im is not None else 0
-            if not x and not y:
-                continue
-            for s, c in _multinomials(k, dim):
-                cell = tuple(map(add, alpha, s))
+    d = lcm(*(q for (_, _, q), _ in nums))
+    re_parts, im_parts = defaultdict(dict), defaultdict(dict)
+    for ((alpha, _), _), ((re, im, q), shift) in zip(terms, nums):
+        m = d // q
+        for parts, coeffs in (re_parts, re), (im_parts, im or ()):
+            for e, x in enumerate(coeffs, shift):
                 if x:
-                    re_cells[cell] = re_cells.get(cell, 0) + c * m * x
-                if y:
-                    im_cells[cell] = im_cells.get(cell, 0) + c * m * y
-    return not any(re_cells.values()) and not any(im_cells.values())
+                    part = parts[e]
+                    part[alpha] = part.get(alpha, 0) + m * x
+    dim = len(terms[0][0][0])
+    re, im = _horner(re_parts, dim), _horner(im_parts, dim)
+    return d, {alpha: (re.get(alpha, 0), im.get(alpha, 0)) for alpha in re | im}
+
+
+def _horner(parts, dim):
+    # the nonzero integer cells of sum_e parts[e] u^e: acc = acc*u + parts[e]
+    # from the top e down, where the factor u = sum_i z^i zbar^i raises
+    # alpha by each unit vector
+    acc = {}
+    for e in range(max(parts, default=-1), -1, -1):
+        raised = dict(parts.get(e, ()))
+        for alpha, c in acc.items():
+            if c:
+                for i in range(dim):
+                    key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    raised[key] = raised.get(key, 0) + c
+        acc = raised
+    return {alpha: c for alpha, c in acc.items() if c}
 
 
 def scalar_ratio(x, y):
     """The scalar c with x = c*y, or None if there is no such scalar."""
     x._check(y)
-    if y.is_zero():
-        return None
     den = x.common_denominator().lcm(y.common_denominator())
-    _, cx = x.expansion(den)
     _, cy = y.expansion(den)
-    key = sorted(cy)[0]
+    if not cy:
+        return None
+    _, cx = x.expansion(den)
+    key = min(cy)
     c = cx.get(key, ZERO) / cy[key]
     for k in set(cx) | set(cy):
         if cx.get(k, ZERO) != cy.get(k, ZERO) * c:

@@ -270,24 +270,6 @@ def _derivative_chain(h, d, n):
         yield h
 
 
-def _compositions(total, parts):
-    # all tuples of parts nonnegative entries summing to total, in
-    # lexicographic order
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multi_factorial(exp):
-    n = 1
-    for e in exp:
-        n *= factorial(e)
-    return n
-
-
 class GaussianRational:
     """Exact complex scalar (a + b*I)/d with integers a, b and d.
 

@@ -1,10 +1,12 @@
 """prol(T(series)) and prol(T(fs * gs)) on Taylor jets at the sphere
 against prol of the generic transfer_series and star_series, and
-RadialFun.is_zero against its expansion."""
+RadialFun.is_zero and RadialFun.expansion against a term-by-term
+multinomial expansion."""
 
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -393,7 +395,39 @@ def cancelling_funs(draw):
     return (u_sum - u) * parts + extra
 
 
+def compositions(total, parts):
+    # every tuple of parts nonnegative integers that sum to total
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def multinomial_expansion(f):
+    # the reference normal form (den, cells): the numerators over the lcm
+    # of the denominators, each u^k expanded term by term as the sum over
+    # |s| = k of (k!/s!) z^s zbar^s, and the zero cells dropped
+    den = UPoly.of(1)
+    for r in f.terms.values():
+        den = den.lcm(r.den)
+    cells = {}
+    for (alpha, beta), r in f.terms.items():
+        for k, c in enumerate((r.num * den.exact_div(r.den)).coeffs):
+            for s in compositions(k, f.dim):
+                weight = factorial(k)
+                for x in s:
+                    weight //= factorial(x)
+                key = (tuple(a + x for a, x in zip(alpha, s)),
+                       tuple(b + x for b, x in zip(beta, s)))
+                cells[key] = cells.get(key, GaussianRational(0)) + c * weight
+    return den, {key: c for key, c in cells.items() if not c.is_zero()}
+
+
 @settings(max_examples=200)
 @given(cancelling_funs())
 def test_is_zero_matches_the_expansion(f):
-    assert f.is_zero() == (not f.expansion()[1])
+    den, cells = multinomial_expansion(f)
+    assert f.is_zero() == (not cells)
+    assert f.expansion() == (den, cells)
